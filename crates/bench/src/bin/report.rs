@@ -1,8 +1,8 @@
-//! Render the JSON outputs of `all_experiments` (in `results/`) into a
+//! Render the JSON artefacts of `convmeter bench` (in `results/`) into a
 //! single `REPORT.md` with paper-vs-measured tables.
 //!
-//! Run `cargo run -p convmeter-bench --bin all_experiments --release` first;
-//! this binary only formats what that run wrote.
+//! Run `cargo run -p convmeter-cli --release -- bench` first; this binary
+//! only formats what that run wrote.
 
 use convmeter_bench::exp_blocks::Table2Result;
 use convmeter_bench::exp_compare::Fig6Row;
@@ -41,7 +41,7 @@ fn main() {
     let mut md = String::new();
     let _ = writeln!(
         md,
-        "# ConvMeter reproduction report\n\nGenerated from `results/*.json` (run `all_experiments` to refresh).\nPaper: Beringer, Stock, Mazaheri & Wolf, ICPP 2024.\n"
+        "# ConvMeter reproduction report\n\nGenerated from `results/*.json` (run `convmeter bench` to refresh).\nPaper: Beringer, Stock, Mazaheri & Wolf, ICPP 2024.\n"
     );
     let mut missing = Vec::new();
 

@@ -756,76 +756,3 @@ fn error_chain(err: &dyn std::error::Error) -> String {
     }
     out
 }
-
-/// Print a run report the way the old per-experiment binaries did: rendered
-/// tables to stdout in registry order, then a one-line summary.
-pub fn print_report(report: &EngineReport, results_dir: &std::path::Path) {
-    for (_, text) in &report.rendered {
-        print!("{text}");
-    }
-    let m = &report.manifest;
-    let artifact_count: usize = m.experiments.iter().map(|e| e.artifacts.len()).sum();
-    println!(
-        "{} experiment(s), {} artefact(s) written to {} — datasets: {} built, {} disk hit(s), {} memory hit(s)",
-        m.experiments.len(),
-        artifact_count,
-        results_dir.display(),
-        m.total_builds(),
-        m.total_disk_hits(),
-        m.total_memory_hits(),
-    );
-    if !m.failures.is_empty() {
-        eprintln!("{} experiment(s) QUARANTINED:", m.failures.len());
-        for f in &m.failures {
-            eprintln!(
-                "  {} — {} attempt(s), {:.1}s: {}",
-                f.name,
-                f.attempts.len(),
-                f.elapsed_seconds,
-                f.error
-            );
-        }
-    }
-}
-
-fn exit_with(err: &EngineError) -> ! {
-    eprintln!("error: {err}");
-    let mut source = std::error::Error::source(err);
-    while let Some(cause) = source {
-        eprintln!("  caused by: {cause}");
-        source = cause.source();
-    }
-    std::process::exit(1)
-}
-
-/// Entry point for the per-experiment regeneration binaries: run the named
-/// registry experiments with the default configuration, print the report,
-/// and exit non-zero if anything — including an artefact write — fails.
-pub fn main_only(names: &[&str]) {
-    let config = EngineConfig::from_env();
-    let results_dir = config.results_dir.clone();
-    match Engine::select(names, config).and_then(|e| e.run()) {
-        Ok(report) => {
-            print_report(&report, &results_dir);
-            if !report.manifest.failures.is_empty() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => exit_with(&e),
-    }
-}
-
-/// Entry point for `all_experiments`: the full registry.
-pub fn main_all() {
-    let config = EngineConfig::from_env();
-    let results_dir = config.results_dir.clone();
-    match Engine::all(config).run() {
-        Ok(report) => {
-            print_report(&report, &results_dir);
-            if !report.manifest.failures.is_empty() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => exit_with(&e),
-    }
-}

@@ -155,13 +155,13 @@ pub fn measure_distributed_step_faulted(
     metrics: &ModelMetrics,
     batch: usize,
     noise: &mut NoiseModel,
-    fault: &mut FaultModel,
+    fault: &mut FaultModel<'_>,
 ) -> TrainingPhases {
     if fault.profile().is_off() {
         return measure_distributed_step(device, cluster, metrics, batch, noise);
     }
     convmeter_metrics::obs::counter!("distsim.steps").inc();
-    let slowdown = fault.compute_slowdown();
+    let slowdown = fault.slowdown_window().unwrap_or(1.0);
     let straggle = fault.node_straggler_max(cluster.total_devices());
     let dropped = fault.node_dropout(cluster.nodes);
     let p = expected_distributed_phases(device, cluster, metrics, batch);

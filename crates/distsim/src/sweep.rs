@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use crate::cluster::ClusterConfig;
-use crate::step::{measure_distributed_step, measure_distributed_step_faulted};
+use crate::step::measure_distributed_step_faulted;
 use convmeter_hwsim::{
-    compile, training_memory_bytes_compiled, DeviceProfile, FaultModel, FaultProfile, NoiseModel,
+    compile, training_memory_bytes, DeviceProfile, FaultModel, FaultProfile, NoiseModel,
     SweepError, TrainingPhases, FAULT_SALT,
 };
 use convmeter_metrics::{CompiledModel, ModelId};
@@ -141,35 +141,31 @@ fn compiled_grid(config: &DistSweepConfig) -> Result<Vec<Arc<CompiledModel>>, Sw
     Ok(grid)
 }
 
-/// All (batch, nodes) points for one compiled pair. The step simulator
-/// consumes `ModelMetrics`, reassembled from the compiled table once per
-/// pair (bit-for-bit the extraction output); memory gating uses the
-/// compiled aggregates directly (exact integer arithmetic).
+/// All (batch, nodes) points for one compiled pair, evaluated from the
+/// pair's cached batch-1 metrics.
 fn dist_points(
     device: &DeviceProfile,
     config: &DistSweepConfig,
     cm: &CompiledModel,
-    faults: Option<&FaultProfile>,
+    faults: &FaultProfile,
 ) -> Vec<DistTrainingSample> {
-    let metrics = cm.to_metrics();
+    let metrics = &cm.metrics;
     let mut out = Vec::with_capacity(config.batch_sizes.len() * config.node_counts.len());
     for &batch in &config.batch_sizes {
-        if training_memory_bytes_compiled(cm, batch) > device.memory_capacity {
+        if training_memory_bytes(metrics, batch) > device.memory_capacity {
             continue;
         }
         for &nodes in &config.node_counts {
             let cluster = ClusterConfig::hpc_cluster(nodes);
             let seed = config.point_seed(cm.id.as_str(), cm.image_size, batch, nodes);
-            let mut noise = NoiseModel::new(seed, device.noise_sigma);
-            let phases = match faults {
-                None => measure_distributed_step(device, &cluster, &metrics, batch, &mut noise),
-                Some(profile) => {
-                    let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
-                    measure_distributed_step_faulted(
-                        device, &cluster, &metrics, batch, &mut noise, &mut fault,
-                    )
-                }
-            };
+            let phases = measure_distributed_step_faulted(
+                device,
+                &cluster,
+                metrics,
+                batch,
+                &mut NoiseModel::new(seed, device.noise_sigma),
+                &mut FaultModel::new(faults, seed ^ FAULT_SALT),
+            );
             out.push(DistTrainingSample {
                 model: cm.id,
                 image_size: cm.image_size,
@@ -183,43 +179,32 @@ fn dist_points(
     out
 }
 
-fn sweep_with(
-    device: &DeviceProfile,
-    config: &DistSweepConfig,
-    faults: Option<&FaultProfile>,
-) -> Result<Vec<DistTrainingSample>, SweepError> {
-    let grid = compiled_grid(config)?;
-    let per_pair = pool::run_ordered(&grid, compile::sweep_jobs(), |_, cm| {
-        dist_points(device, config, cm, faults)
-    })?;
-    Ok(per_pair.into_iter().flatten().collect())
-}
-
 /// Run a distributed-training sweep. Configurations whose per-device
 /// footprint exceeds device memory are skipped, as in the paper.
 pub fn distributed_sweep(
     device: &DeviceProfile,
     config: &DistSweepConfig,
 ) -> Result<Vec<DistTrainingSample>, SweepError> {
-    let _span = convmeter_metrics::obs::span!("distsim.sweep");
-    sweep_with(device, config, None)
+    distributed_sweep_faulted(device, config, &FaultProfile::disabled())
 }
 
-/// [`distributed_sweep`] under a fault profile. With faults off this *is*
-/// [`distributed_sweep`] (byte-identical); otherwise every point draws from
-/// an independent fault stream seeded by the per-point tuple XOR
+/// [`distributed_sweep`] under a fault profile. Every point draws from an
+/// independent fault stream seeded by the per-point tuple XOR
 /// [`FAULT_SALT`], adding node dropouts with ring re-formation, per-node
-/// straggler multipliers, slowdown windows, spikes, and NaN corruption.
+/// straggler multipliers, slowdown windows, spikes, and NaN corruption;
+/// with faults off nothing is drawn and the samples are exactly
+/// [`distributed_sweep`]'s.
 pub fn distributed_sweep_faulted(
     device: &DeviceProfile,
     config: &DistSweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<DistTrainingSample>, SweepError> {
-    if faults.is_off() {
-        return distributed_sweep(device, config);
-    }
     let _span = convmeter_metrics::obs::span!("distsim.sweep");
-    sweep_with(device, config, Some(faults))
+    let grid = compiled_grid(config)?;
+    let per_pair = pool::run_ordered(&grid, compile::sweep_jobs(), |_, cm| {
+        dist_points(device, config, cm, faults)
+    })?;
+    Ok(per_pair.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

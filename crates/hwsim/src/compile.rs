@@ -2,11 +2,11 @@
 //!
 //! Every sweep point used to rebuild its graph and re-extract metrics.
 //! [`compiled`] does that work exactly once per `(model, image_size)` pair
-//! per process: it builds the zoo graph, lints it, lowers it to a
-//! [`CompiledModel`] (flat cost table + batch-scaling aggregates +
-//! fingerprint), and memoises the result behind an `Arc`. Sweeps and
-//! dataset builders then evaluate any batch size from the cached table
-//! without touching the graph again.
+//! per process: it builds the zoo graph, lints it, compiles it to a
+//! [`CompiledModel`] (batch-1 `ModelMetrics` keyed by interned id and
+//! structural fingerprint), and memoises the result behind an `Arc`.
+//! Sweeps, dataset builders and `serve` then evaluate any batch size from
+//! the cached metrics without touching the graph again.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,6 +105,20 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.id, ModelId::intern("resnet18"));
         assert_eq!(a.image_size, 64);
+    }
+
+    #[test]
+    fn compiles_deterministically_per_pair() {
+        // Two independent compilations of the same (model, image) agree on
+        // every field the cache key and sweeps depend on.
+        let spec = zoo::by_name("resnet18").unwrap();
+        let id = ModelId::intern("resnet18");
+        let a = CompiledModel::compile(id, 64, &spec.build(64, NUM_CLASSES)).unwrap();
+        let b = CompiledModel::compile(id, 64, &spec.build(64, NUM_CLASSES)).unwrap();
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.metrics.flops, b.metrics.flops);
+        assert_eq!(a.metrics.peak_live_elements, b.metrics.peak_live_elements);
+        assert_eq!(a.metrics.per_node, b.metrics.per_node);
     }
 
     #[test]

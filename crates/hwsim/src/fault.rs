@@ -177,24 +177,28 @@ impl Default for FaultProfile {
 /// for one data point. Every accessor returns its neutral value *without
 /// consuming randomness* when the corresponding probability is zero, so a
 /// disabled feature leaves the draw sequence of the others untouched.
+///
+/// The model borrows its profile, so building one per sweep point
+/// allocates nothing. A [`FaultProfile::disabled`] model is the identity
+/// of every measurement that takes one.
 #[derive(Debug)]
-pub struct FaultModel {
+pub struct FaultModel<'p> {
     rng: StdRng,
-    profile: FaultProfile,
+    profile: &'p FaultProfile,
 }
 
-impl FaultModel {
+impl<'p> FaultModel<'p> {
     /// Seeded fault model for one data point.
-    pub fn new(profile: &FaultProfile, seed: u64) -> Self {
+    pub fn new(profile: &'p FaultProfile, seed: u64) -> Self {
         FaultModel {
             rng: StdRng::seed_from_u64(seed),
-            profile: profile.clone(),
+            profile,
         }
     }
 
     /// The profile this model realises.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
+    pub fn profile(&self) -> &'p FaultProfile {
+        self.profile
     }
 
     fn standard_normal(&mut self) -> f64 {
@@ -203,17 +207,14 @@ impl FaultModel {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Compute-rate multiplier for this sample: `slowdown_factor` inside a
-    /// transient slowdown window, 1 otherwise.
-    pub fn compute_slowdown(&mut self) -> f64 {
+    /// Compute-rate multiplier of the transient slowdown window this sample
+    /// falls in (`slowdown_factor`), or `None` outside one.
+    pub fn slowdown_window(&mut self) -> Option<f64> {
         if self.profile.slowdown_prob == 0.0 {
-            return 1.0;
+            return None;
         }
-        if self.rng.random::<f64>() < self.profile.slowdown_prob {
-            self.profile.slowdown_factor
-        } else {
-            1.0
-        }
+        (self.rng.random::<f64>() < self.profile.slowdown_prob)
+            .then_some(self.profile.slowdown_factor)
     }
 
     /// Heavy-tailed straggler multiplier: a capped Pareto draw with
@@ -241,7 +242,7 @@ impl FaultModel {
 
     /// Apply the sample-level faults to a measured time: straggler spike,
     /// then corruption (NaN). The slowdown window is applied earlier, at
-    /// the kernel level, via [`FaultModel::compute_slowdown`].
+    /// the kernel level, via [`FaultModel::slowdown_window`].
     pub fn corrupt(&mut self, t: f64) -> f64 {
         let spiked = t * self.spike_factor();
         if self.is_corrupt() {
@@ -282,7 +283,7 @@ mod tests {
         assert!(p.is_off());
         let mut m = FaultModel::new(&p, 42);
         for _ in 0..20 {
-            assert_eq!(m.compute_slowdown(), 1.0);
+            assert_eq!(m.slowdown_window(), None);
             assert_eq!(m.spike_factor(), 1.0);
             assert!(!m.is_corrupt());
             assert_eq!(m.corrupt(1.25), 1.25);
@@ -311,7 +312,7 @@ mod tests {
         let mut a = FaultModel::new(&p, 7);
         let mut b = FaultModel::new(&p, 7);
         for _ in 0..200 {
-            assert_eq!(a.compute_slowdown(), b.compute_slowdown());
+            assert_eq!(a.slowdown_window(), b.slowdown_window());
             let (fa, fb) = (a.corrupt(1.0), b.corrupt(1.0));
             assert!(fa == fb || (fa.is_nan() && fb.is_nan()));
             assert_eq!(a.node_dropout(4), b.node_dropout(4));
@@ -368,7 +369,8 @@ mod tests {
 
     #[test]
     fn single_node_never_drops() {
-        let mut m = FaultModel::new(&FaultProfile::heavy(), 5);
+        let heavy = FaultProfile::heavy();
+        let mut m = FaultModel::new(&heavy, 5);
         for _ in 0..100 {
             assert_eq!(m.node_dropout(1), 0);
         }

@@ -6,7 +6,7 @@
 //! (weights, activations, and — for training — gradients, optimizer state,
 //! and saved activations).
 
-use convmeter_metrics::{CompiledModel, ModelMetrics};
+use convmeter_metrics::ModelMetrics;
 
 const BYTES: u64 = 4;
 
@@ -20,18 +20,6 @@ pub fn inference_memory_bytes(metrics: &ModelMetrics, batch: usize) -> u64 {
     let weights = metrics.weights * BYTES;
     let activations = metrics.peak_live_elements * b * BYTES;
     // cuDNN-style workspace: proportional to the peak activation set.
-    let workspace = activations / 4;
-    weights + activations + workspace
-}
-
-/// [`inference_memory_bytes`] over a compiled model's aggregates.
-///
-/// Integer arithmetic over the same `weights`/`peak_live_elements` values,
-/// so the gate decision is exactly the legacy one.
-pub fn inference_memory_bytes_compiled(model: &CompiledModel, batch: usize) -> u64 {
-    let b = batch as u64;
-    let weights = model.weights * BYTES;
-    let activations = model.peak_live_elements * b * BYTES;
     let workspace = activations / 4;
     weights + activations + workspace
 }
@@ -51,14 +39,6 @@ pub fn training_memory_bytes(metrics: &ModelMetrics, batch: usize) -> u64 {
         * BYTES;
     // weights + grads + adam m + adam v.
     let parameter_state = 4 * metrics.weights * BYTES;
-    parameter_state + saved_activations + saved_activations / 4
-}
-
-/// [`training_memory_bytes`] over a compiled cost table (exact: u64 sums).
-pub fn training_memory_bytes_compiled(model: &CompiledModel, batch: usize) -> u64 {
-    let b = batch as u64;
-    let saved_activations: u64 = model.table.output_elements.iter().sum::<u64>() * b * BYTES;
-    let parameter_state = 4 * model.weights * BYTES;
     parameter_state + saved_activations + saved_activations / 4
 }
 
@@ -107,25 +87,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(m.peak_live_elements > pair);
-    }
-
-    #[test]
-    fn compiled_footprints_match_exactly() {
-        use convmeter_metrics::{CompiledModel, ModelId};
-        for (name, size) in [("resnet50", 224), ("densenet121", 224)] {
-            let m = metrics(name, size);
-            let cm = CompiledModel::from_metrics(ModelId::intern(name), size, String::new(), &m);
-            for batch in [1, 64, 2048] {
-                assert_eq!(
-                    inference_memory_bytes(&m, batch),
-                    inference_memory_bytes_compiled(&cm, batch)
-                );
-                assert_eq!(
-                    training_memory_bytes(&m, batch),
-                    training_memory_bytes_compiled(&cm, batch)
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::device::DeviceProfile;
 use crate::fault::FaultModel;
 use crate::kernel::{forward_layer_time, forward_layer_time_slowed};
 use crate::noise::NoiseModel;
-use convmeter_metrics::{CompiledModel, ModelId, ModelMetrics};
+use convmeter_metrics::{ModelId, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
 /// One measured inference data point.
@@ -36,26 +36,6 @@ pub fn expected_inference_time(
     kernels + device.base_overhead
 }
 
-/// [`expected_inference_time`] over a compiled cost table.
-///
-/// Runs the identical per-layer fold over the same [`LayerCost`] values the
-/// graph extraction produced (the compiled table stores them losslessly),
-/// so the result is bit-for-bit equal — without rebuilding any graph.
-///
-/// [`LayerCost`]: convmeter_metrics::LayerCost
-pub fn expected_inference_time_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-) -> f64 {
-    let kernels: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time(device, &c, batch))
-        .sum();
-    kernels + device.base_overhead
-}
-
 /// A noisy "measurement" of inference time, as a real benchmark would record.
 pub fn measure_inference(
     device: &DeviceProfile,
@@ -66,107 +46,36 @@ pub fn measure_inference(
     noise.jitter(expected_inference_time(device, metrics, batch))
 }
 
-/// [`measure_inference`] over a compiled cost table (bit-identical).
-pub fn measure_inference_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> f64 {
-    measure_inference_from_expected(
-        expected_inference_time_compiled(device, model, batch),
-        noise,
-    )
-}
-
-/// One noisy inference measurement around an already-computed expected time.
+/// A fault-injected measurement around `expected`, the point's
+/// [`expected_inference_time`] (sweeps compute it once for their gates and
+/// pass it in). The point may land in a slowdown window (throttled
+/// compute), be hit by a heavy-tailed straggler spike, or come back
+/// corrupted as NaN. Noise and faults draw from independent seeded streams.
 ///
-/// Sweeps fold the cost table once per point and reuse the value for both
-/// the point-time cap check and the measurement; this is that second half.
-pub fn measure_inference_from_expected(expected: f64, noise: &mut NoiseModel) -> f64 {
-    noise.jitter(expected)
-}
-
-/// Expected inference time under a compute-rate slowdown (fault injection's
-/// throttling windows). `slowdown = 1.0` matches
-/// [`expected_inference_time`] exactly.
-pub fn degraded_inference_time(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    slowdown: f64,
-) -> f64 {
-    let kernels: f64 = metrics
-        .per_node
-        .iter()
-        .map(|c| forward_layer_time_slowed(device, c, batch, slowdown))
-        .sum();
-    kernels + device.base_overhead
-}
-
-/// [`degraded_inference_time`] over a compiled cost table (bit-identical).
-pub fn degraded_inference_time_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    slowdown: f64,
-) -> f64 {
-    let kernels: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time_slowed(device, &c, batch, slowdown))
-        .sum();
-    kernels + device.base_overhead
-}
-
-/// A fault-injected measurement: the point may land in a slowdown window
-/// (throttled compute), be hit by a heavy-tailed straggler spike, or come
-/// back corrupted as NaN. Noise and faults draw from independent seeded
-/// streams.
+/// Outside a slowdown window (the common case) `expected` is used as is,
+/// so a point costs the caller's one fold; only inside a window are the
+/// layers refolded at the throttled compute rate. A model of [`FaultProfile::disabled`] draws nothing and
+/// makes this `noise.jitter(expected)`.
+///
+/// [`FaultProfile::disabled`]: crate::fault::FaultProfile::disabled
 pub fn measure_inference_faulted(
     device: &DeviceProfile,
     metrics: &ModelMetrics,
     batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> f64 {
-    let slowdown = fault.compute_slowdown();
-    let expected = degraded_inference_time(device, metrics, batch, slowdown);
-    fault.corrupt(noise.jitter(expected))
-}
-
-/// [`measure_inference_faulted`] over a compiled cost table (bit-identical).
-pub fn measure_inference_faulted_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> f64 {
-    let expected = expected_inference_time_compiled(device, model, batch);
-    measure_inference_faulted_from_expected(device, model, batch, expected, noise, fault)
-}
-
-/// [`measure_inference_faulted_compiled`] reusing an already-computed
-/// unfaulted expected time.
-///
-/// Outside a slowdown window (`slowdown == 1.0`, the common case) the
-/// degraded fold is skipped entirely — throttling by `1.0` is bit-identical
-/// to the plain roofline — so a sweep point costs one table fold, not two.
-pub fn measure_inference_faulted_from_expected(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
     expected: f64,
     noise: &mut NoiseModel,
-    fault: &mut FaultModel,
+    fault: &mut FaultModel<'_>,
 ) -> f64 {
-    let slowdown = fault.compute_slowdown();
-    // analyzer:allow(CA0005, reason = "compute_slowdown returns the literal 1.0 outside a fault window; this is a sentinel check, not a float-arithmetic comparison, and a false negative only costs one redundant (still bit-identical) table fold")
-    let degraded = if slowdown == 1.0 {
-        expected
-    } else {
-        degraded_inference_time_compiled(device, model, batch, slowdown)
+    let degraded = match fault.slowdown_window() {
+        None => expected,
+        Some(slowdown) => {
+            let kernels: f64 = metrics
+                .per_node
+                .iter()
+                .map(|c| forward_layer_time_slowed(device, c, batch, slowdown))
+                .sum();
+            kernels + device.base_overhead
+        }
     };
     fault.corrupt(noise.jitter(degraded))
 }
@@ -174,6 +83,7 @@ pub fn measure_inference_faulted_from_expected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultProfile;
     use convmeter_models::zoo::by_name;
 
     fn metrics(name: &str, size: usize) -> ModelMetrics {
@@ -237,20 +147,45 @@ mod tests {
     }
 
     #[test]
-    fn compiled_expectation_is_bit_identical() {
+    fn disabled_faults_are_the_identity() {
         let d = DeviceProfile::a100_80gb();
-        for (name, size) in [("resnet18", 64), ("densenet121", 224), ("vgg16", 128)] {
-            let m = metrics(name, size);
-            let cm = CompiledModel::from_metrics(ModelId::intern(name), size, String::new(), &m);
-            for batch in [1, 8, 64, 512] {
-                let legacy = expected_inference_time(&d, &m, batch);
-                let compiled = expected_inference_time_compiled(&d, &cm, batch);
-                assert_eq!(legacy.to_bits(), compiled.to_bits());
-                let legacy = degraded_inference_time(&d, &m, batch, 1.7);
-                let compiled = degraded_inference_time_compiled(&d, &cm, batch, 1.7);
-                assert_eq!(legacy.to_bits(), compiled.to_bits());
-            }
+        let m = metrics("resnet18", 64);
+        let off = FaultProfile::disabled();
+        for batch in [1, 8, 64, 512] {
+            let expected = expected_inference_time(&d, &m, batch);
+            let plain = measure_inference(&d, &m, batch, &mut NoiseModel::new(5, d.noise_sigma));
+            let faulted = measure_inference_faulted(
+                &d,
+                &m,
+                batch,
+                expected,
+                &mut NoiseModel::new(5, d.noise_sigma),
+                &mut FaultModel::new(&off, 9),
+            );
+            assert_eq!(plain.to_bits(), faulted.to_bits());
         }
+    }
+
+    #[test]
+    fn slowdown_window_throttles_compute() {
+        let d = DeviceProfile::a100_80gb();
+        let m = metrics("vgg16", 128);
+        let throttled = FaultProfile {
+            slowdown_prob: 1.0,
+            slowdown_factor: 2.0,
+            ..FaultProfile::disabled()
+        };
+        let expected = expected_inference_time(&d, &m, 64);
+        let t = measure_inference_faulted(
+            &d,
+            &m,
+            64,
+            expected,
+            &mut NoiseModel::disabled(),
+            &mut FaultModel::new(&throttled, 1),
+        );
+        // Compute-bound layers double, memory-bound ones do not.
+        assert!(t > expected && t < 2.0 * expected, "{t} vs {expected}");
     }
 
     #[test]

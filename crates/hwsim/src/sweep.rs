@@ -1,11 +1,12 @@
 //! Benchmark sweep generation — the "collect < 5,000 data points" step of
-//! the paper, evaluated over compiled cost tables.
+//! the paper, evaluated over compiled models.
 //!
 //! Each `(model, image_size)` pair is compiled once per process (see
 //! [`crate::compile`]); the sweep then evaluates every batch size from the
-//! cached table — no graph rebuilds, no re-extraction, no per-point
-//! allocation. Point evaluation fans out over the order-preserving worker
-//! pool when [`crate::compile::set_sweep_jobs`] raises the worker count.
+//! cached batch-1 metrics — no graph rebuilds, no re-extraction, no
+//! per-point allocation. Point evaluation fans out over the
+//! order-preserving worker pool when [`crate::compile::set_sweep_jobs`]
+//! raises the worker count.
 //!
 //! Determinism: each data point derives its noise seed from
 //! (sweep seed, model name, image size, batch), so results are identical
@@ -18,16 +19,10 @@ use crate::compile;
 use crate::device::DeviceProfile;
 use crate::error::SweepError;
 use crate::fault::{FaultModel, FaultProfile, FAULT_SALT};
-use crate::memory::{inference_memory_bytes_compiled, training_memory_bytes_compiled};
+use crate::memory::{inference_memory_bytes, training_memory_bytes};
 use crate::noise::NoiseModel;
-use crate::runner::{
-    expected_inference_time_compiled, measure_inference_faulted_from_expected,
-    measure_inference_from_expected, InferenceSample,
-};
-use crate::training::{
-    expected_training_phases_compiled, measure_training_step_faulted_from_phases,
-    measure_training_step_from_phases, TrainingSample,
-};
+use crate::runner::{expected_inference_time, measure_inference_faulted, InferenceSample};
+use crate::training::{expected_training_phases, measure_training_step_faulted, TrainingSample};
 use convmeter_metrics::{obs, CompiledModel};
 use convmeter_models::zoo;
 use convmeter_pool as pool;
@@ -174,7 +169,7 @@ fn compiled_grid(config: &SweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepE
 }
 
 /// Evaluate one point-generator per grid pair across the ordered worker
-/// pool and flatten in grid order. Workers only fold cached cost tables —
+/// pool and flatten in grid order. Workers only fold cached metrics —
 /// they emit no spans (spans are thread-local), and per-point seeding makes
 /// the output independent of scheduling.
 fn sweep_points<S, F>(grid: &[Arc<CompiledModel>], points: F) -> Result<Vec<S>, SweepError>
@@ -190,36 +185,35 @@ fn inference_points(
     device: &DeviceProfile,
     config: &SweepConfig,
     cm: &CompiledModel,
-    faults: Option<&FaultProfile>,
+    faults: &FaultProfile,
 ) -> Vec<InferenceSample> {
+    let metrics = &cm.metrics;
     config
         .batch_sizes
         .iter()
         .filter_map(|&batch| {
             if config.respect_memory
-                && inference_memory_bytes_compiled(cm, batch) > device.memory_capacity
+                && inference_memory_bytes(metrics, batch) > device.memory_capacity
             {
                 return None;
             }
-            // One table fold per point: the cap check and the measurement
-            // share the expected time.
-            let expected = expected_inference_time_compiled(device, cm, batch);
+            // One fold per point: the cap check and the measurement share
+            // the expected time.
+            let expected = expected_inference_time(device, metrics, batch);
             if let Some(cap) = config.max_point_time {
                 if expected > cap {
                     return None;
                 }
             }
             let seed = config.point_seed(cm.id.as_str(), cm.image_size, batch);
-            let mut noise = NoiseModel::new(seed, device.noise_sigma);
-            let time_s = match faults {
-                None => measure_inference_from_expected(expected, &mut noise),
-                Some(profile) => {
-                    let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
-                    measure_inference_faulted_from_expected(
-                        device, cm, batch, expected, &mut noise, &mut fault,
-                    )
-                }
-            };
+            let time_s = measure_inference_faulted(
+                device,
+                metrics,
+                batch,
+                expected,
+                &mut NoiseModel::new(seed, device.noise_sigma),
+                &mut FaultModel::new(faults, seed ^ FAULT_SALT),
+            );
             Some(InferenceSample {
                 model: cm.id,
                 image_size: cm.image_size,
@@ -234,20 +228,21 @@ fn training_points(
     device: &DeviceProfile,
     config: &SweepConfig,
     cm: &CompiledModel,
-    faults: Option<&FaultProfile>,
+    faults: &FaultProfile,
 ) -> Vec<TrainingSample> {
+    let metrics = &cm.metrics;
     config
         .batch_sizes
         .iter()
         .filter_map(|&batch| {
             if config.respect_memory
-                && training_memory_bytes_compiled(cm, batch) > device.memory_capacity
+                && training_memory_bytes(metrics, batch) > device.memory_capacity
             {
                 return None;
             }
-            // One table fold per point: the cap check and the measurement
-            // share the expected phases.
-            let expected = expected_training_phases_compiled(device, cm, batch);
+            // One fold per point: the cap check and the measurement share
+            // the expected phases.
+            let expected = expected_training_phases(device, metrics, batch);
             if let Some(cap) = config.max_point_time {
                 if expected.total() > cap {
                     return None;
@@ -256,14 +251,11 @@ fn training_points(
             let seed = config
                 .point_seed(cm.id.as_str(), cm.image_size, batch)
                 .wrapping_add(1);
-            let mut noise = NoiseModel::new(seed, device.noise_sigma);
-            let phases = match faults {
-                None => measure_training_step_from_phases(&expected, &mut noise),
-                Some(profile) => {
-                    let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
-                    measure_training_step_faulted_from_phases(&expected, &mut noise, &mut fault)
-                }
-            };
+            let phases = measure_training_step_faulted(
+                &expected,
+                &mut NoiseModel::new(seed, device.noise_sigma),
+                &mut FaultModel::new(faults, seed ^ FAULT_SALT),
+            );
             Some(TrainingSample {
                 model: cm.id,
                 image_size: cm.image_size,
@@ -280,31 +272,24 @@ pub fn inference_sweep(
     device: &DeviceProfile,
     config: &SweepConfig,
 ) -> Result<Vec<InferenceSample>, SweepError> {
-    let _span = obs::span!("hwsim.inference_sweep");
-    let grid = compiled_grid(config)?;
-    sweep_points(&grid, |cm| inference_points(device, config, cm, None))
+    inference_sweep_faulted(device, config, &FaultProfile::disabled())
 }
 
-/// [`inference_sweep`] under a fault profile. With faults off this *is*
-/// [`inference_sweep`] (same code path, byte-identical results); otherwise
-/// each point additionally draws from a fault stream seeded by the same
-/// per-point tuple XOR [`FAULT_SALT`], so injected faults are bit-for-bit
-/// reproducible and independent of the noise stream. Sweep gates (memory,
-/// runtime cap) always use the *unfaulted* expected time, so the sampled
-/// grid is identical with and without faults.
+/// [`inference_sweep`] under a fault profile. Each point draws from a fault
+/// stream seeded by the same per-point tuple XOR [`FAULT_SALT`], so injected
+/// faults are bit-for-bit reproducible and independent of the noise stream;
+/// with faults off nothing is drawn and the samples are exactly
+/// [`inference_sweep`]'s. Sweep gates (memory, runtime cap) always use the
+/// *unfaulted* expected time, so the sampled grid is identical with and
+/// without faults.
 pub fn inference_sweep_faulted(
     device: &DeviceProfile,
     config: &SweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<InferenceSample>, SweepError> {
-    if faults.is_off() {
-        return inference_sweep(device, config);
-    }
     let _span = obs::span!("hwsim.inference_sweep");
     let grid = compiled_grid(config)?;
-    sweep_points(&grid, |cm| {
-        inference_points(device, config, cm, Some(faults))
-    })
+    sweep_points(&grid, |cm| inference_points(device, config, cm, faults))
 }
 
 /// Run a single-device training benchmark sweep.
@@ -312,9 +297,7 @@ pub fn training_sweep(
     device: &DeviceProfile,
     config: &SweepConfig,
 ) -> Result<Vec<TrainingSample>, SweepError> {
-    let _span = obs::span!("hwsim.training_sweep");
-    let grid = compiled_grid(config)?;
-    sweep_points(&grid, |cm| training_points(device, config, cm, None))
+    training_sweep_faulted(device, config, &FaultProfile::disabled())
 }
 
 /// [`training_sweep`] under a fault profile; see
@@ -324,14 +307,9 @@ pub fn training_sweep_faulted(
     config: &SweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<TrainingSample>, SweepError> {
-    if faults.is_off() {
-        return training_sweep(device, config);
-    }
     let _span = obs::span!("hwsim.training_sweep");
     let grid = compiled_grid(config)?;
-    sweep_points(&grid, |cm| {
-        training_points(device, config, cm, Some(faults))
-    })
+    sweep_points(&grid, |cm| training_points(device, config, cm, faults))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::device::DeviceProfile;
 use crate::fault::FaultModel;
 use crate::kernel::{backward_layer_time, forward_layer_time, optimizer_layer_time};
 use crate::noise::NoiseModel;
-use convmeter_metrics::{CompiledModel, ModelId, ModelMetrics};
+use convmeter_metrics::{ModelId, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
 /// The three phases of one training step on one device.
@@ -78,146 +78,28 @@ pub fn expected_training_phases(
     }
 }
 
-/// [`expected_training_phases`] over a compiled cost table (bit-identical
-/// per-phase sums over the same [`LayerCost`] values).
+/// A noisy, fault-injected measurement of one training step around
+/// `expected`, the point's [`expected_training_phases`] (sweeps compute
+/// them once for their gates and pass them in). Each phase jitters
+/// independently, as phase timers in a real harness would; a slowdown
+/// window throttles all compute phases, one straggler spike stretches the
+/// whole step (the phase timers all see the same straggling device), and
+/// corruption NaNs every phase (the harness lost the sample).
 ///
-/// [`LayerCost`]: convmeter_metrics::LayerCost
-pub fn expected_training_phases_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-) -> TrainingPhases {
-    const AUTOGRAD_OVERHEAD: f64 = 1.08;
-    let forward: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time(device, &c, batch))
-        .sum::<f64>()
-        * AUTOGRAD_OVERHEAD
-        + device.base_overhead;
-    let backward: f64 = model
-        .table
-        .rows()
-        .map(|c| backward_layer_time(device, &c, batch))
-        .sum::<f64>()
-        + device.base_overhead;
-    let grad_update: f64 = model
-        .table
-        .rows()
-        .map(|c| optimizer_layer_time(device, &c))
-        .sum::<f64>()
-        + device.base_overhead;
-    TrainingPhases {
-        forward,
-        backward,
-        grad_update,
-    }
-}
-
-/// A noisy measurement of one training step; each phase jitters
-/// independently, as phase timers in a real harness would.
-pub fn measure_training_step(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> TrainingPhases {
-    let p = expected_training_phases(device, metrics, batch);
-    TrainingPhases {
-        forward: noise.jitter(p.forward),
-        backward: noise.jitter(p.backward),
-        grad_update: noise.jitter(p.grad_update),
-    }
-}
-
-/// [`measure_training_step`] over a compiled cost table (bit-identical).
-pub fn measure_training_step_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> TrainingPhases {
-    measure_training_step_from_phases(
-        &expected_training_phases_compiled(device, model, batch),
-        noise,
-    )
-}
-
-/// One noisy training-step measurement around already-computed expected
-/// phases.
+/// A model of [`FaultProfile::disabled`] draws nothing, so the result is
+/// the plain jittered phases.
 ///
-/// Sweeps fold the cost table once per point and reuse the phases for both
-/// the point-time cap check and the measurement; this is that second half.
-pub fn measure_training_step_from_phases(
+/// [`FaultProfile::disabled`]: crate::fault::FaultProfile::disabled
+pub fn measure_training_step_faulted(
     expected: &TrainingPhases,
     noise: &mut NoiseModel,
+    fault: &mut FaultModel<'_>,
 ) -> TrainingPhases {
-    TrainingPhases {
-        forward: noise.jitter(expected.forward),
-        backward: noise.jitter(expected.backward),
-        grad_update: noise.jitter(expected.grad_update),
-    }
-}
-
-/// A fault-injected training-step measurement: a slowdown window throttles
-/// all compute phases, one straggler spike stretches the whole step (the
-/// phase timers all see the same straggling device), and corruption NaNs
-/// every phase (the harness lost the sample).
-pub fn measure_training_step_faulted(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> TrainingPhases {
-    let slowdown = fault.compute_slowdown();
-    let p = expected_training_phases(device, metrics, batch);
+    let slowdown = fault.slowdown_window().unwrap_or(1.0);
     let mut phases = TrainingPhases {
-        forward: noise.jitter(p.forward * slowdown),
-        backward: noise.jitter(p.backward * slowdown),
-        grad_update: noise.jitter(p.grad_update * slowdown),
-    };
-    let spike = fault.spike_factor();
-    phases.forward *= spike;
-    phases.backward *= spike;
-    phases.grad_update *= spike;
-    if fault.is_corrupt() {
-        phases.forward = f64::NAN;
-        phases.backward = f64::NAN;
-        phases.grad_update = f64::NAN;
-    }
-    phases
-}
-
-/// [`measure_training_step_faulted`] over a compiled cost table
-/// (bit-identical: same fault/noise draw order, same phase sums).
-pub fn measure_training_step_faulted_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> TrainingPhases {
-    measure_training_step_faulted_from_phases(
-        &expected_training_phases_compiled(device, model, batch),
-        noise,
-        fault,
-    )
-}
-
-/// [`measure_training_step_faulted_compiled`] reusing already-computed
-/// expected phases (same fault/noise draw order — the slowdown scales the
-/// precomputed phase sums, so no second table fold is needed).
-pub fn measure_training_step_faulted_from_phases(
-    p: &TrainingPhases,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> TrainingPhases {
-    let slowdown = fault.compute_slowdown();
-    let mut phases = TrainingPhases {
-        forward: noise.jitter(p.forward * slowdown),
-        backward: noise.jitter(p.backward * slowdown),
-        grad_update: noise.jitter(p.grad_update * slowdown),
+        forward: noise.jitter(expected.forward * slowdown),
+        backward: noise.jitter(expected.backward * slowdown),
+        grad_update: noise.jitter(expected.grad_update * slowdown),
     };
     let spike = fault.spike_factor();
     phases.forward *= spike;
@@ -234,6 +116,7 @@ pub fn measure_training_step_faulted_from_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultProfile;
     use convmeter_models::zoo::by_name;
 
     fn metrics(name: &str, size: usize) -> ModelMetrics {
@@ -285,29 +168,34 @@ mod tests {
     }
 
     #[test]
-    fn compiled_phases_are_bit_identical() {
+    fn measured_phases_jitter() {
         let d = DeviceProfile::a100_80gb();
-        for (name, size) in [("resnet18", 64), ("mobilenet_v2", 128)] {
-            let m = metrics(name, size);
-            let cm = CompiledModel::from_metrics(ModelId::intern(name), size, String::new(), &m);
-            for batch in [1, 32, 256] {
-                let legacy = expected_training_phases(&d, &m, batch);
-                let compiled = expected_training_phases_compiled(&d, &cm, batch);
-                assert_eq!(legacy.forward.to_bits(), compiled.forward.to_bits());
-                assert_eq!(legacy.backward.to_bits(), compiled.backward.to_bits());
-                assert_eq!(legacy.grad_update.to_bits(), compiled.grad_update.to_bits());
-            }
-        }
+        let p = expected_training_phases(&d, &metrics("resnet18", 64), 16);
+        let off = FaultProfile::disabled();
+        let mut noise = NoiseModel::new(11, d.noise_sigma);
+        let mut fault = FaultModel::new(&off, 3);
+        let a = measure_training_step_faulted(&p, &mut noise, &mut fault);
+        let b = measure_training_step_faulted(&p, &mut noise, &mut fault);
+        assert_ne!(a.forward, b.forward);
+        assert_ne!(a.backward, b.backward);
     }
 
     #[test]
-    fn measured_phases_jitter() {
+    fn disabled_faults_only_jitter() {
         let d = DeviceProfile::a100_80gb();
-        let m = metrics("resnet18", 64);
-        let mut noise = NoiseModel::new(11, d.noise_sigma);
-        let a = measure_training_step(&d, &m, 16, &mut noise);
-        let b = measure_training_step(&d, &m, 16, &mut noise);
-        assert_ne!(a.forward, b.forward);
-        assert_ne!(a.backward, b.backward);
+        let p = expected_training_phases(&d, &metrics("mobilenet_v2", 128), 32);
+        let off = FaultProfile::disabled();
+        let got = measure_training_step_faulted(
+            &p,
+            &mut NoiseModel::new(4, d.noise_sigma),
+            &mut FaultModel::new(&off, 8),
+        );
+        let mut noise = NoiseModel::new(4, d.noise_sigma);
+        assert_eq!(got.forward.to_bits(), noise.jitter(p.forward).to_bits());
+        assert_eq!(got.backward.to_bits(), noise.jitter(p.backward).to_bits());
+        assert_eq!(
+            got.grad_update.to_bits(),
+            noise.jitter(p.grad_update).to_bits()
+        );
     }
 }

@@ -24,7 +24,7 @@ use convmeter::scalability::{throughput_vs_nodes, turning_point};
 use convmeter_bench::engine::store::{DatasetSpec, DatasetStats, DatasetStore};
 use convmeter_graph::Graph;
 use convmeter_hwsim::Precision;
-use convmeter_metrics::obs;
+use convmeter_metrics::{obs, CompiledModel};
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -171,11 +171,14 @@ pub fn resolve_device(name: &str, precision: &str) -> Result<DeviceProfile, Stri
     })
 }
 
-/// The architecture a request resolved to: a zoo spec (built lazily, its
-/// fingerprint served by the process-global compile cache) or an owned raw
-/// graph.
+/// The architecture a request resolved to: a zoo model compiled through
+/// the process-global compile cache (its metrics and fingerprint come from
+/// there) or an owned raw graph.
 enum Arch {
-    Zoo { name: String },
+    Zoo {
+        name: String,
+        compiled: Arc<CompiledModel>,
+    },
     Raw(Box<Graph>),
 }
 
@@ -259,9 +262,13 @@ impl ServeState {
                 let Some(compiled) = compiled else {
                     return Err(format!("{name} does not support {}px images", req.image));
                 };
+                let fingerprint = compiled.fingerprint.clone();
                 Ok((
-                    Arch::Zoo { name: name.clone() },
-                    compiled.fingerprint.clone(),
+                    Arch::Zoo {
+                        name: name.clone(),
+                        compiled,
+                    },
+                    fingerprint,
                 ))
             }
             (None, Some(value)) => {
@@ -377,9 +384,15 @@ impl ServeState {
                 }
             }
         };
-        let (graph, display_name) = match arch {
-            Arch::Zoo { name } => match convmeter_models::zoo::by_name(name) {
-                Some(spec) => (spec.build(req.image, 1000), name.clone()),
+        // Zoo models reuse the compiled metrics and build their graph only
+        // for the bottleneck ranking; raw graphs are extracted here.
+        let (zoo_graph, raw_metrics);
+        let (graph, metrics, display_name) = match arch {
+            Arch::Zoo { name, compiled } => match convmeter_models::zoo::by_name(name) {
+                Some(spec) => {
+                    zoo_graph = spec.build(req.image, 1000);
+                    (&zoo_graph, &compiled.metrics, name.as_str())
+                }
                 None => {
                     return Rendered {
                         status: 500,
@@ -387,23 +400,25 @@ impl ServeState {
                     }
                 }
             },
-            Arch::Raw(graph) => ((**graph).clone(), graph.name().to_string()),
-        };
-        let metrics = match ModelMetrics::of(&graph) {
-            Ok(m) => m,
-            Err(e) => {
-                return Rendered {
-                    status: 500,
-                    body: error_body(&format!("metric extraction failed: {e}")),
+            Arch::Raw(graph) => match ModelMetrics::of(graph) {
+                Ok(m) => {
+                    raw_metrics = m;
+                    (&**graph, &raw_metrics, graph.name())
                 }
-            }
+                Err(e) => {
+                    return Rendered {
+                        status: 500,
+                        body: error_body(&format!("metric extraction failed: {e}")),
+                    }
+                }
+            },
         };
         let batch_metrics = metrics.at_batch(req.batch);
-        let forward_s = models.forward.predict_metrics(&metrics, req.batch);
+        let forward_s = models.forward.predict_metrics(metrics, req.batch);
         let bwd_grad_s = models.training.predict_bwd_grad(&batch_metrics, 1);
         let step_s = models.training.predict_step(&batch_metrics, 1);
         let epoch_s = models.training.predict_epoch(
-            &metrics,
+            metrics,
             req.dataset_size,
             req.batch,
             1,
@@ -411,7 +426,7 @@ impl ServeState {
         );
         let curve = throughput_vs_nodes(
             &models.training,
-            &metrics,
+            metrics,
             req.batch,
             &req.nodes,
             req.gpus_per_node,
@@ -426,7 +441,7 @@ impl ServeState {
                 images_per_sec: p.images_per_sec,
             })
             .collect();
-        let bottlenecks = match convmeter::bottleneck_report(&models.forward, &graph, req.batch) {
+        let bottlenecks = match convmeter::bottleneck_report(&models.forward, graph, req.batch) {
             Ok(report) => report
                 .blocks
                 .iter()
@@ -443,7 +458,7 @@ impl ServeState {
         };
         let response = PredictResponse {
             api_format: API_FORMAT,
-            model: display_name,
+            model: display_name.to_string(),
             fingerprint: fingerprint.to_string(),
             device_fingerprint: device.fingerprint(),
             image: req.image,

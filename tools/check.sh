@@ -14,6 +14,13 @@ echo "==> cargo test --workspace"
 # root package, silently skipping every crates/* suite.
 cargo test -q --workspace --offline
 
+echo "==> build the benchmark harness (library API and lockfile still fit it)"
+# perfbench/harness is its own workspace with a committed lockfile; a
+# library change that breaks its build, or would make cargo rewrite that
+# lockfile, fails here instead of in the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build -q --release --offline --locked \
+    --manifest-path perfbench/harness/Cargo.toml
+
 echo "==> convmeter analyze --perf (CA/CD/CB + hot-path CP audit; findings and budget overruns are fatal)"
 ANALYZE_TMP="$(mktemp -d)"
 cargo run -q -p convmeter-cli --offline -- \
