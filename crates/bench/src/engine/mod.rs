@@ -103,6 +103,24 @@ pub enum EngineError {
         /// The underlying sweep error.
         source: convmeter_hwsim::SweepError,
     },
+    /// A ConvMeter fit failed, for example a leave-one-model-out fold left
+    /// with too few points to fit.
+    Fit {
+        /// The experiment (or profile phase) whose fit failed.
+        context: String,
+        /// The underlying fit error.
+        source: convmeter_linalg::FitError,
+    },
+}
+
+impl EngineError {
+    /// Wrap a fit that failed in `context`; for `map_err`.
+    pub(crate) fn fit(context: &str) -> impl FnOnce(convmeter_linalg::FitError) -> Self + '_ {
+        move |source| EngineError::Fit {
+            context: context.to_string(),
+            source,
+        }
+    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -133,6 +151,9 @@ impl std::fmt::Display for EngineError {
             EngineError::Sweep { key, source } => {
                 write!(f, "dataset {key} could not be built: {source}")
             }
+            EngineError::Fit { context, source } => {
+                write!(f, "{context}: model fit failed: {source}")
+            }
         }
     }
 }
@@ -142,6 +163,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Io { source, .. } => Some(source),
             EngineError::Sweep { source, .. } => Some(source),
+            EngineError::Fit { source, .. } => Some(source),
             _ => None,
         }
     }

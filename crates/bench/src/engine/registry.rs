@@ -89,7 +89,8 @@ impl Experiment for Table1 {
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let cpu_data = ctx.inference(&spec_inference_cpu())?;
         let gpu_data = ctx.inference(&spec_inference_gpu())?;
-        let result = exp_inference::table1(&cpu_data, &gpu_data);
+        let result =
+            exp_inference::table1(&cpu_data, &gpu_data).map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_inference::render_table1(&result),
             artifacts: vec![Artifact::json("table1", &result)],
@@ -138,7 +139,8 @@ impl Experiment for Fig3 {
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let cpu_data = ctx.inference(&spec_inference_cpu())?;
         let gpu_data = ctx.inference(&spec_inference_gpu())?;
-        let result = exp_inference::fig3(&cpu_data, &gpu_data);
+        let result =
+            exp_inference::fig3(&cpu_data, &gpu_data).map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_inference::render_fig3(&result),
             artifacts: vec![Artifact::json("fig3", &result)],
@@ -162,7 +164,7 @@ impl Experiment for Table2 {
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let blocks = ctx.inference(&spec_blocks())?;
-        let result = exp_blocks::table2(&blocks);
+        let result = exp_blocks::table2(&blocks).map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_blocks::render_table2(&result),
             artifacts: vec![Artifact::json("table2", &result)],
@@ -186,7 +188,7 @@ impl Experiment for Fig4 {
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let blocks = ctx.inference(&spec_blocks())?;
-        let result = exp_blocks::table2(&blocks);
+        let result = exp_blocks::table2(&blocks).map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: format!(
                 "Figure 4 scatter: {} points, overall {}\n",
@@ -213,8 +215,10 @@ impl Experiment for Table3 {
         vec![spec_training(), spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let single = exp_training::evaluate_phases(&ctx.training(&spec_training())?);
-        let distributed = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?);
+        let single = exp_training::evaluate_phases(&ctx.training(&spec_training())?)
+            .map_err(EngineError::fit(self.name()))?;
+        let distributed = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?)
+            .map_err(EngineError::fit(self.name()))?;
         let result = exp_training::table3(&single, &distributed);
         Ok(RunOutput {
             rendered: exp_training::render_table3(&result),
@@ -238,7 +242,8 @@ impl Experiment for Fig5 {
         vec![spec_training()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let result = exp_training::evaluate_phases(&ctx.training(&spec_training())?);
+        let result = exp_training::evaluate_phases(&ctx.training(&spec_training())?)
+            .map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_training::render_phases(
                 "Figure 5: training phases, single A100 (held-out)",
@@ -289,7 +294,8 @@ impl Experiment for Fig7 {
         vec![spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let result = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?);
+        let result = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?)
+            .map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_training::render_phases(
                 "Figure 7: training phases, multi-node (held-out)",
@@ -363,7 +369,7 @@ impl Experiment for Ablations {
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let data = ctx.inference(&spec_inference_gpu())?;
         let dist = ctx.training(&spec_distributed())?;
-        let result = exp_ablations::run(&data, &dist);
+        let result = exp_ablations::run(&data, &dist).map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_ablations::render(&result),
             artifacts: vec![Artifact::json("ablations", &result)],
@@ -437,7 +443,7 @@ impl Experiment for Transformers {
         Vec::new()
     }
     fn run(&self, _ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let result = exp_transformers::run();
+        let result = exp_transformers::run().map_err(EngineError::fit(self.name()))?;
         Ok(RunOutput {
             rendered: exp_transformers::render(&result),
             artifacts: vec![Artifact::json("ext_transformers", &result)],

@@ -14,7 +14,7 @@ use crate::report::Table;
 use convmeter::features::forward_features;
 use convmeter::prelude::*;
 use convmeter_linalg::stats::ErrorReport;
-use convmeter_linalg::LinearRegression;
+use convmeter_linalg::{FitError, LinearRegression};
 use serde::{Deserialize, Serialize};
 
 /// One (study, variant) outcome.
@@ -57,7 +57,7 @@ fn fit_subset(
     columns: &[usize],
     intercept: bool,
     ridge: f64,
-) -> ErrorReport {
+) -> Result<ErrorReport, FitError> {
     let xs: Vec<Vec<f64>> = data
         .iter()
         .map(|p| {
@@ -69,14 +69,13 @@ fn fit_subset(
     let reg = LinearRegression::new()
         .with_intercept(intercept)
         .with_ridge(ridge)
-        .fit(&xs, &ys)
-        .expect("ablation fit");
-    ErrorReport::compute(&reg.predict_batch(&xs), &ys)
+        .fit(&xs, &ys)?;
+    Ok(ErrorReport::compute(&reg.predict_batch(&xs), &ys))
 }
 
 /// Run every ablation on the GPU inference dataset and the distributed
 /// training dataset.
-pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
+pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> Result<AblationsResult, FitError> {
     let mut outcomes = Vec::new();
 
     // 1. Metric subsets.
@@ -93,14 +92,14 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
         outcomes.push(AblationOutcome {
             name: "metric-subsets".into(),
             variant: name.into(),
-            report: fit_subset(data, cols, true, 1e-6),
+            report: fit_subset(data, cols, true, 1e-6)?,
         });
     }
 
     // 2. LOOCV vs in-sample.
-    let (_, scatter, held_out) = leave_one_model_out_inference(data).expect("loocv");
+    let (_, scatter, held_out) = leave_one_model_out_inference(data)?;
     for (name, report) in [
-        ("in-sample", fit_subset(data, &[0, 1, 2], true, 1e-6)),
+        ("in-sample", fit_subset(data, &[0, 1, 2], true, 1e-6)?),
         ("leave-one-model-out", held_out),
     ] {
         outcomes.push(AblationOutcome {
@@ -115,7 +114,7 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
         outcomes.push(AblationOutcome {
             name: "intercept".into(),
             variant: name.into(),
-            report: fit_subset(data, &[0, 1, 2], on, 1e-6),
+            report: fit_subset(data, &[0, 1, 2], on, 1e-6)?,
         });
     }
 
@@ -124,12 +123,12 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
         outcomes.push(AblationOutcome {
             name: "ridge".into(),
             variant: format!("{lambda:.0e}"),
-            report: fit_subset(data, &[0, 1, 2], true, lambda),
+            report: fit_subset(data, &[0, 1, 2], true, lambda)?,
         });
     }
 
     // 5. Training-model composition on the distributed dataset.
-    let model = TrainingModel::fit(dist).expect("training fit");
+    let model = TrainingModel::fit(dist)?;
     let meas: Vec<f64> = dist
         .iter()
         .map(convmeter::TrainingPoint::step_time)
@@ -167,7 +166,7 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
     let fwd_model = {
         let xs: Vec<Vec<f64>> = data.iter().map(|p| forward_features(&p.metrics)).collect();
         let ys: Vec<f64> = data.iter().map(|p| p.measured).collect();
-        convmeter::ForwardModel::fit_raw(&xs, &ys).expect("fit")
+        convmeter::ForwardModel::fit_raw(&xs, &ys)?
     };
     let mut bn_fold = Vec::new();
     for name in ["resnet50", "mobilenet_v2", "densenet121"] {
@@ -188,7 +187,7 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
         });
     }
 
-    AblationsResult { outcomes, bn_fold }
+    Ok(AblationsResult { outcomes, bn_fold })
 }
 
 /// Render every ablation study as one text block.

@@ -11,6 +11,7 @@ use crate::blocks::TABLE2_BLOCKS;
 use crate::report::Table;
 use convmeter::prelude::*;
 use convmeter_linalg::stats::ErrorReport;
+use convmeter_linalg::FitError;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -27,9 +28,8 @@ pub struct Table2Result {
 
 /// Run the Table 2 / Figure 4 experiment on a block-level benchmark
 /// dataset (see [`crate::blocks::block_dataset`]).
-pub fn table2(blocks: &[InferencePoint]) -> Table2Result {
-    let (mut per_block, scatter, overall) =
-        leave_one_model_out_inference(blocks).expect("block loocv");
+pub fn table2(blocks: &[InferencePoint]) -> Result<Table2Result, FitError> {
+    let (mut per_block, scatter, overall) = leave_one_model_out_inference(blocks)?;
     // Order rows as in the paper's Table 2.
     per_block.sort_by_key(|r| {
         TABLE2_BLOCKS
@@ -37,11 +37,11 @@ pub fn table2(blocks: &[InferencePoint]) -> Table2Result {
             .position(|&(b, _)| b == r.model)
             .unwrap_or(usize::MAX)
     });
-    Table2Result {
+    Ok(Table2Result {
         per_block,
         scatter,
         overall,
-    }
+    })
 }
 
 /// Render the Table 2 result.

@@ -95,7 +95,7 @@ pub fn fig6(data: &[InferencePoint], full_sweep: &[InferencePoint]) -> Vec<Fig6R
         let train: Vec<InferencePoint> = full_sweep
             .iter()
             .filter(|p| p.model != model_name)
-            .cloned()
+            .copied()
             .collect();
         let test: Vec<&InferencePoint> = split.test.iter().map(|&i| &data[i]).collect();
         let meas: Vec<f64> = test.iter().map(|p| p.measured).collect();

@@ -8,6 +8,7 @@ use crate::report::Table;
 use convmeter::prelude::*;
 use convmeter_baselines::{Metric, SingleMetricModel};
 use convmeter_linalg::stats::ErrorReport;
+use convmeter_linalg::FitError;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -26,24 +27,27 @@ pub struct Table1Result {
     pub gpu_overall: ErrorReport,
 }
 
-fn in_sample_overall(points: &[InferencePoint]) -> ErrorReport {
-    let model = ForwardModel::fit(points).expect("paper sweep is fittable");
+fn in_sample_overall(points: &[InferencePoint]) -> Result<ErrorReport, FitError> {
+    let model = ForwardModel::fit(points)?;
     let preds: Vec<f64> = points.iter().map(|p| model.predict(&p.metrics)).collect();
     let meas: Vec<f64> = points.iter().map(|p| p.measured).collect();
-    ErrorReport::compute(&preds, &meas)
+    Ok(ErrorReport::compute(&preds, &meas))
 }
 
 /// Run Table 1: inference prediction accuracy per ConvNet on the given CPU
 /// and GPU benchmark datasets.
-pub fn table1(cpu_data: &[InferencePoint], gpu_data: &[InferencePoint]) -> Table1Result {
-    let (cpu, _, _) = leave_one_model_out_inference(cpu_data).expect("cpu loocv");
-    let (gpu, _, _) = leave_one_model_out_inference(gpu_data).expect("gpu loocv");
-    Table1Result {
+pub fn table1(
+    cpu_data: &[InferencePoint],
+    gpu_data: &[InferencePoint],
+) -> Result<Table1Result, FitError> {
+    let (cpu, _, _) = leave_one_model_out_inference(cpu_data)?;
+    let (gpu, _, _) = leave_one_model_out_inference(gpu_data)?;
+    Ok(Table1Result {
         cpu,
         gpu,
-        cpu_overall: in_sample_overall(cpu_data),
-        gpu_overall: in_sample_overall(gpu_data),
-    }
+        cpu_overall: in_sample_overall(cpu_data)?,
+        gpu_overall: in_sample_overall(gpu_data)?,
+    })
 }
 
 /// Render the Table 1 result.
@@ -157,15 +161,18 @@ pub struct Fig3Result {
 
 /// Run Figure 3: full scatter of measured vs. predicted inference times on
 /// the given CPU and GPU datasets.
-pub fn fig3(cpu_data: &[InferencePoint], gpu_data: &[InferencePoint]) -> Fig3Result {
-    let (_, cpu_scatter, cpu_overall) = leave_one_model_out_inference(cpu_data).expect("cpu loocv");
-    let (_, gpu_scatter, gpu_overall) = leave_one_model_out_inference(gpu_data).expect("gpu loocv");
-    Fig3Result {
+pub fn fig3(
+    cpu_data: &[InferencePoint],
+    gpu_data: &[InferencePoint],
+) -> Result<Fig3Result, FitError> {
+    let (_, cpu_scatter, cpu_overall) = leave_one_model_out_inference(cpu_data)?;
+    let (_, gpu_scatter, gpu_overall) = leave_one_model_out_inference(gpu_data)?;
+    Ok(Fig3Result {
         cpu_scatter,
         gpu_scatter,
         cpu_overall,
         gpu_overall,
-    }
+    })
 }
 
 /// Render the Figure 3 result.

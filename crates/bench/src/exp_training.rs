@@ -3,8 +3,8 @@
 
 use crate::report::Table;
 use convmeter::prelude::*;
-use convmeter_linalg::cv::LeaveOneGroupOut;
 use convmeter_linalg::stats::ErrorReport;
+use convmeter_linalg::FitError;
 use convmeter_metrics::ModelId;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -32,20 +32,25 @@ pub struct TrainingPhasesResult {
     pub overall: ErrorReport,
 }
 
+/// Error metrics over one phase's `(model, measured, predicted)` points.
+fn phase_report(points: &[(ModelId, f64, f64)]) -> ErrorReport {
+    let meas: Vec<f64> = points.iter().map(|p| p.1).collect();
+    let pred: Vec<f64> = points.iter().map(|p| p.2).collect();
+    ErrorReport::compute(&pred, &meas)
+}
+
 /// Leave-one-model-out evaluation of all phases on a training dataset
-/// (single-GPU for Figure 5, distributed for Figure 7).
-pub fn evaluate_phases(points: &[TrainingPoint]) -> TrainingPhasesResult {
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
+/// (single-GPU for Figure 5, distributed for Figure 7). The folds are
+/// [`leave_one_model_out`]'s, so `per_model` is exactly
+/// [`leave_one_model_out_training`]'s reports.
+pub fn evaluate_phases(points: &[TrainingPoint]) -> Result<TrainingPhasesResult, FitError> {
     let mut fwd = Vec::new();
     let mut bwd = Vec::new();
     let mut grad = Vec::new();
     let mut step = Vec::new();
     let mut per_model = Vec::new();
-    for (model_name, split) in LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<TrainingPoint> = split.train.iter().map(|&i| points[i].clone()).collect();
-        let fitted = TrainingModel::fit(&train).expect("training fit");
-        let mut step_pred = Vec::new();
-        let mut step_meas = Vec::new();
+    leave_one_model_out(points, |model_name, fitted: &TrainingModel, split| {
+        let start = step.len();
         for &i in &split.test {
             let p = &points[i];
             let name = p.model;
@@ -56,24 +61,21 @@ pub fn evaluate_phases(points: &[TrainingPoint]) -> TrainingPhasesResult {
                 p.grad,
                 fitted.predict_grad_update(&p.metrics, p.nodes),
             ));
-            let s = fitted.predict_step(&p.metrics, p.nodes);
-            step.push((name, p.step_time(), s));
-            step_pred.push(s);
-            step_meas.push(p.step_time());
+            step.push((
+                name,
+                p.step_time(),
+                fitted.predict_step(&p.metrics, p.nodes),
+            ));
         }
         per_model.push(PerModelReport {
             model: model_name.to_string(),
-            report: ErrorReport::compute(&step_pred, &step_meas),
+            report: phase_report(&step[start..]),
         });
-    }
-    let to_scatter = |phase: &str, pts: Vec<(ModelId, f64, f64)>| {
-        let meas: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let pred: Vec<f64> = pts.iter().map(|p| p.2).collect();
-        PhaseScatter {
-            phase: phase.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-            points: pts,
-        }
+    })?;
+    let to_scatter = |phase: &str, points: Vec<(ModelId, f64, f64)>| PhaseScatter {
+        phase: phase.to_string(),
+        report: phase_report(&points),
+        points,
     };
     let phases = vec![
         to_scatter("forward", fwd),
@@ -81,12 +83,12 @@ pub fn evaluate_phases(points: &[TrainingPoint]) -> TrainingPhasesResult {
         to_scatter("grad_update", grad),
         to_scatter("step", step),
     ];
-    let overall = phases.last().unwrap().report;
-    TrainingPhasesResult {
+    let overall = phases[3].report;
+    Ok(TrainingPhasesResult {
         phases,
         per_model,
         overall,
-    }
+    })
 }
 
 /// Result of Table 3: single-GPU and distributed per-model step errors.
@@ -166,4 +168,62 @@ pub fn render_phases(title: &str, result: &TrainingPhasesResult) -> String {
     let mut out = t.render();
     out.push('\n');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineError;
+    use std::error::Error as _;
+
+    /// Four models, so every fold keeps enough points to fit the
+    /// multi-node regime on its own.
+    fn small_distributed() -> Vec<TrainingPoint> {
+        let mut sweep = DistSweepConfig::quick();
+        sweep.models = vec![
+            "resnet18".into(),
+            "alexnet".into(),
+            "mobilenet_v2".into(),
+            "vgg11".into(),
+        ];
+        sweep.batch_sizes = vec![8, 32, 64, 128];
+        distributed_dataset(&DeviceProfile::a100_80gb(), &sweep).unwrap()
+    }
+
+    fn bits(r: &ErrorReport) -> [u64; 5] {
+        [
+            r.r2.to_bits(),
+            r.rmse.to_bits(),
+            r.nrmse.to_bits(),
+            r.mape.to_bits(),
+            r.n as u64,
+        ]
+    }
+
+    #[test]
+    fn per_model_reports_match_the_training_evaluator_bitwise() {
+        let points = small_distributed();
+        let phases = evaluate_phases(&points).unwrap();
+        let (reports, _, overall) = leave_one_model_out_training(&points).unwrap();
+        assert_eq!(phases.per_model.len(), reports.len());
+        for (a, b) in phases.per_model.iter().zip(&reports) {
+            assert_eq!(a.model, b.model);
+            assert_eq!(bits(&a.report), bits(&b.report), "{}", a.model);
+        }
+        assert_eq!(bits(&phases.overall), bits(&overall));
+    }
+
+    #[test]
+    fn one_model_dataset_is_a_typed_error() {
+        let mut points = small_distributed();
+        let first = points[0].model;
+        points.retain(|p| p.model == first);
+        let err = evaluate_phases(&points)
+            .map_err(EngineError::fit("fig7"))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Fit { .. }), "{err}");
+        assert!(err
+            .source()
+            .is_some_and(|s| s.downcast_ref::<FitError>().is_some()));
+    }
 }

@@ -12,6 +12,7 @@ use crate::report::Table;
 use convmeter::prelude::*;
 use convmeter_hwsim::{measure_inference, NoiseModel};
 use convmeter_linalg::stats::ErrorReport;
+use convmeter_linalg::FitError;
 use convmeter_metrics::{ModelId, ModelMetrics};
 use convmeter_models::vit::{vit_b_16, vit_b_32, vit_l_16};
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,7 @@ pub struct TransformersResult {
 
 /// Run the ViT transfer: benchmark the ViT family on the simulated A100
 /// and evaluate the unchanged ConvMeter pipeline leave-one-model-out.
-pub fn run() -> TransformersResult {
+pub fn run() -> Result<TransformersResult, FitError> {
     let device = DeviceProfile::a100_80gb();
     type Builder = fn(usize, usize) -> convmeter_graph::Graph;
     let builders: [(&str, Builder); 3] = [
@@ -73,8 +74,8 @@ pub fn run() -> TransformersResult {
     }
 
     // Leave-one-model-out with the unchanged ConvMeter pipeline.
-    let (reports, _, overall) = leave_one_model_out_inference(&points).expect("vit loocv");
-    TransformersResult {
+    let (reports, _, overall) = leave_one_model_out_inference(&points)?;
+    Ok(TransformersResult {
         rows: reports
             .into_iter()
             .map(|r| VitRow {
@@ -83,7 +84,7 @@ pub fn run() -> TransformersResult {
             })
             .collect(),
         overall,
-    }
+    })
 }
 
 /// Render the ViT transfer result.

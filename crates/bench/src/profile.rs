@@ -14,12 +14,14 @@
 //!   byte-identical output across runs — the schema-stability contract the
 //!   integration tests pin down.
 //!
-//! The workload string (`quick-v2` / `full-v2`) names the suite; bump the
+//! The workload string (`quick-v3` / `full-v3`) names the suite; bump the
 //! suffix when the suite changes so the gate flags stale baselines as a
 //! workload mismatch instead of a spurious regression. v2 added the
-//! compiled-model and batched-QR phases (and pins the process-global
-//! compile cache cold at the start, so `compile.model` span counts are a
-//! function of the workload, not of what ran earlier in the process).
+//! compiled-model phase (and pins the process-global compile cache cold at
+//! the start, so `compile.model` span counts are a function of the
+//! workload, not of what ran earlier in the process). v3 evaluates with the
+//! exact leave-one-model-out fold loop instead of the deleted batched fold
+//! solver.
 
 use crate::engine::{DatasetSpec, DatasetStore, Engine, EngineConfig, EngineError};
 use convmeter::{ForwardModel, TrainingModel};
@@ -57,14 +59,15 @@ pub struct ProfileOptions {
 ///    hit), all over the warm compile cache;
 /// 3. `profile.fits` — repeated ConvMeter forward/training fits over those
 ///    datasets (the linalg QR path);
-/// 4. `profile.eval` — batched leave-one-model-out evaluations over the
-///    same datasets (the `linalg.qr.batched` fold-solver path);
+/// 4. `profile.eval` — leave-one-model-out evaluations over the same
+///    datasets (the `convmeter.eval.logo` fold loop the artefacts use: one
+///    exact refit per held-out model);
 /// 5. the engine phase — `Engine::run` over the dependency-free
 ///    `extensions` experiment, which records its own `engine.run` span
 ///    tree and writes a v2 manifest with per-experiment span summaries.
 pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
     let session = obs::Session::begin();
-    let workload = if opts.quick { "quick-v2" } else { "full-v2" };
+    let workload = if opts.quick { "quick-v3" } else { "full-v3" };
 
     let gpu = DeviceProfile::a100_80gb();
     let store = DatasetStore::new(None);
@@ -126,12 +129,9 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
         let _span = obs::span!("profile.fits");
         let reps = if opts.quick { 3 } else { 25 };
         for _ in 0..reps {
-            // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
-            ForwardModel::fit(&inference).expect("quick inference dataset fits");
-            // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
-            TrainingModel::fit(&training).expect("quick training dataset fits");
-            // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
-            TrainingModel::fit(&distributed).expect("quick distributed dataset fits");
+            ForwardModel::fit(&inference).map_err(EngineError::fit("profile.fits"))?;
+            TrainingModel::fit(&training).map_err(EngineError::fit("profile.fits"))?;
+            TrainingModel::fit(&distributed).map_err(EngineError::fit("profile.fits"))?;
         }
     }
 
@@ -139,12 +139,10 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
         let _span = obs::span!("profile.eval");
         let reps = if opts.quick { 2 } else { 10 };
         for _ in 0..reps {
-            convmeter::leave_one_model_out_inference_batched(&inference)
-                // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
-                .expect("quick inference dataset evaluates");
-            convmeter::leave_one_model_out_training_batched(&training)
-                // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
-                .expect("quick training dataset evaluates");
+            convmeter::leave_one_model_out_inference(&inference)
+                .map_err(EngineError::fit("profile.eval"))?;
+            convmeter::leave_one_model_out_training(&training)
+                .map_err(EngineError::fit("profile.eval"))?;
         }
     }
 
@@ -201,19 +199,18 @@ mod tests {
             results_dir: dir.clone(),
         })
         .expect("profile runs");
-        assert_eq!(profile.workload, "quick-v2");
+        assert_eq!(profile.workload, "quick-v3");
         let spans = profile.flat_spans();
         // The acceptance surface: engine, hwsim sweep, distsim, compiled
-        // lowering, linalg fit, and batched-QR phases must all appear in
-        // the span tree.
+        // lowering, linalg fit, and leave-one-model-out phases must all
+        // appear in the span tree.
         for needle in [
             "engine.run",
             "hwsim.inference_sweep",
             "distsim.sweep",
             "linalg.fit",
             "compile.model",
-            "linalg.qr.batched",
-            "convmeter.eval.batched",
+            "convmeter.eval.logo",
             "profile.compile",
             "profile.datasets",
             "profile.fits",
@@ -233,10 +230,6 @@ mod tests {
         // The compile cache is pinned cold, so the quick grid compiles a
         // deterministic set of (model, image) pairs.
         assert!(profile.metrics.counters["compile.models"] >= 7);
-        // Each batched eval factors its designs once and solves one fold
-        // per held-out model.
-        assert!(profile.metrics.counters["linalg.qr.batched_designs"] > 0);
-        assert!(profile.metrics.counters["linalg.qr.batched_folds"] > 0);
         // The engine phase wrote a v2 manifest with span summaries.
         let manifest = std::fs::read_to_string(dir.join("profile/manifest.json"))
             .expect("engine manifest written");

@@ -335,8 +335,14 @@ pub fn bottlenecks(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = persist::load_forward_model(model_path)?;
     let spec =
         zoo::by_name(name).ok_or_else(|| CliError::Usage(format!("unknown model '{name}'")))?;
+    let compiled = convmeter_hwsim::compile::compiled(name, image)?.ok_or_else(|| {
+        CliError::Usage(format!(
+            "{name} needs images >= {} px, got {image}",
+            spec.min_image_size
+        ))
+    })?;
     let graph = spec.build(image, 1000);
-    let report = convmeter::bottleneck_report(&model, &graph, batch)
+    let report = convmeter::bottleneck_report(&model, &graph, &compiled.metrics, batch)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     writeln!(
         out,
@@ -933,13 +939,10 @@ pub fn profile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     write_profile(&profile, &out_path)?;
 
     // Coverage assertions: the workload must have exercised the compiled
-    // lowering and the batched fold solver — a profile (or gate run) that
-    // skipped them would be measuring a stale workload and silently pass.
-    let required_spans = [
-        "compile.model",
-        "linalg.qr.batched",
-        "convmeter.eval.batched",
-    ];
+    // lowering and the leave-one-model-out evaluator — a profile (or gate
+    // run) that skipped them would be measuring a stale workload and
+    // silently pass.
+    let required_spans = ["compile.model", "convmeter.eval.logo"];
     let flat = profile.flat_spans();
     let missing: Vec<&str> = required_spans
         .iter()

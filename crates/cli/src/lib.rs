@@ -389,6 +389,17 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("Bottleneck"));
+        // An image below the model's minimum is a usage error, not a panic.
+        let err = run_str(&[
+            "bottlenecks",
+            "--model-file",
+            &model,
+            "resnet50",
+            "--image",
+            "8",
+        ])
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
         let out = run_str(&["eval", "--data", &data]).unwrap();
         assert!(out.contains("overall:"));
         std::fs::remove_file(data).ok();

@@ -62,17 +62,19 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 /// Predict the latency of every registered block of `graph` at `batch`,
-/// producing a ranked bottleneck report.
+/// producing a ranked bottleneck report. `whole` is the whole graph's
+/// metrics, which the caller already holds (for zoo models, the compiled
+/// ones), so only the blocks are extracted here.
 pub fn bottleneck_report(
     model: &ForwardModel,
     graph: &Graph,
+    whole: &ModelMetrics,
     batch: usize,
 ) -> Result<BottleneckReport, AnalysisError> {
     if graph.blocks().is_empty() {
         return Err(AnalysisError::NoBlocks);
     }
-    let whole_metrics = ModelMetrics::of(graph).map_err(|e| AnalysisError::Block(e.to_string()))?;
-    let whole_model = model.predict_metrics(&whole_metrics, batch);
+    let whole_model = model.predict_metrics(whole, batch);
 
     let mut blocks = Vec::with_capacity(graph.blocks().len());
     for span in graph.blocks() {
@@ -114,11 +116,16 @@ mod tests {
         ForwardModel::fit(&data).unwrap()
     }
 
+    fn resnet50_report(model: &ForwardModel) -> BottleneckReport {
+        let graph = zoo::by_name("resnet50").unwrap().build(224, 1000);
+        let whole = ModelMetrics::of(&graph).unwrap();
+        bottleneck_report(model, &graph, &whole, 32).unwrap()
+    }
+
     #[test]
     fn resnet50_report_ranks_blocks() {
         let model = fitted();
-        let graph = zoo::by_name("resnet50").unwrap().build(224, 1000);
-        let report = bottleneck_report(&model, &graph, 32).unwrap();
+        let report = resnet50_report(&model);
         assert_eq!(report.blocks.len(), 16);
         // Sorted descending.
         for w in report.blocks.windows(2) {
@@ -138,9 +145,7 @@ mod tests {
         // block of stages 2-4: Bottleneck4, 8, 14) are individually the most
         // expensive: they run their 3x3 conv at the incoming (higher)
         // resolution and add a strided 1x1 projection on the shortcut.
-        let model = fitted();
-        let graph = zoo::by_name("resnet50").unwrap().build(224, 1000);
-        let report = bottleneck_report(&model, &graph, 32).unwrap();
+        let report = resnet50_report(&fitted());
         let mut top: Vec<usize> = report.blocks[..3]
             .iter()
             .map(|b| b.block.trim_start_matches("Bottleneck").parse().unwrap())
@@ -164,8 +169,9 @@ mod tests {
             convmeter_graph::GraphBuilder::new("flat", convmeter_graph::Shape::image(3, 32));
         b.conv_bn(3, 8, 3, 1, 1);
         let g = b.finish();
+        let whole = ModelMetrics::of(&g).unwrap();
         assert!(matches!(
-            bottleneck_report(&model, &g, 1),
+            bottleneck_report(&model, &g, &whole, 1),
             Err(AnalysisError::NoBlocks)
         ));
     }

@@ -6,16 +6,16 @@
 //! model zoo — the "parsing its computational graph" step — and attaches the
 //! feature values.
 
-use convmeter_distsim::{distributed_sweep, distributed_sweep_faulted, DistSweepConfig};
+use convmeter_distsim::{distributed_sweep_faulted, DistSweepConfig};
 use convmeter_hwsim::{
-    compile, inference_sweep, inference_sweep_faulted, training_sweep, training_sweep_faulted,
-    DeviceProfile, FaultProfile, SweepConfig, SweepError,
+    compile, inference_sweep_faulted, training_sweep_faulted, DeviceProfile, FaultProfile,
+    SweepConfig, SweepError,
 };
 use convmeter_metrics::{obs, BatchMetrics, ModelId};
 use serde::{Deserialize, Serialize};
 
 /// One inference observation with its resolved features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct InferencePoint {
     /// Model name (the leave-one-out group key; interned, serialises as the
     /// plain string).
@@ -31,7 +31,7 @@ pub struct InferencePoint {
 }
 
 /// One training observation (single- or multi-node) with resolved features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TrainingPoint {
     /// Model name (the leave-one-out group key; interned, serialises as the
     /// plain string).
@@ -155,8 +155,7 @@ pub fn inference_dataset(
     device: &DeviceProfile,
     config: &SweepConfig,
 ) -> Result<Vec<InferencePoint>, SweepError> {
-    let _span = obs::span!("convmeter.dataset.inference");
-    attach_inference_features(inference_sweep(device, config)?)
+    inference_dataset_faulted(device, config, &FaultProfile::disabled())
 }
 
 /// Run a single-device training sweep and annotate it (nodes = devices = 1).
@@ -164,8 +163,7 @@ pub fn training_dataset(
     device: &DeviceProfile,
     config: &SweepConfig,
 ) -> Result<Vec<TrainingPoint>, SweepError> {
-    let _span = obs::span!("convmeter.dataset.training");
-    attach_training_features(training_sweep(device, config)?)
+    training_dataset_faulted(device, config, &FaultProfile::disabled())
 }
 
 /// Run a distributed-training sweep and annotate it.
@@ -173,8 +171,7 @@ pub fn distributed_dataset(
     device: &DeviceProfile,
     config: &DistSweepConfig,
 ) -> Result<Vec<TrainingPoint>, SweepError> {
-    let _span = obs::span!("convmeter.dataset.distributed");
-    attach_distributed_features(distributed_sweep(device, config)?)
+    distributed_dataset_faulted(device, config, &FaultProfile::disabled())
 }
 
 /// Drop samples whose measured times are non-finite (corrupted by the fault
@@ -194,16 +191,13 @@ fn drop_corrupt<P>(points: Vec<P>, finite: impl Fn(&P) -> bool) -> Vec<P> {
 
 /// [`inference_dataset`] under an injected [`FaultProfile`]. Corrupted
 /// (NaN) samples are dropped (counted on `convmeter.dataset.dropped_corrupt`);
-/// straggler spikes and slowdowns remain in the data. With `faults.is_off()`
-/// this is byte-identical to the plain builder.
+/// straggler spikes and slowdowns remain in the data. A disabled profile
+/// draws nothing and corrupts nothing, so that is the plain builder.
 pub fn inference_dataset_faulted(
     device: &DeviceProfile,
     config: &SweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<InferencePoint>, SweepError> {
-    if faults.is_off() {
-        return inference_dataset(device, config);
-    }
     let _span = obs::span!("convmeter.dataset.inference");
     let points = attach_inference_features(inference_sweep_faulted(device, config, faults)?)?;
     Ok(drop_corrupt(points, |p| p.measured.is_finite()))
@@ -216,9 +210,6 @@ pub fn training_dataset_faulted(
     config: &SweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<TrainingPoint>, SweepError> {
-    if faults.is_off() {
-        return training_dataset(device, config);
-    }
     let _span = obs::span!("convmeter.dataset.training");
     let points = attach_training_features(training_sweep_faulted(device, config, faults)?)?;
     Ok(drop_corrupt(points, |p| p.step_time().is_finite()))
@@ -231,9 +222,6 @@ pub fn distributed_dataset_faulted(
     config: &DistSweepConfig,
     faults: &FaultProfile,
 ) -> Result<Vec<TrainingPoint>, SweepError> {
-    if faults.is_off() {
-        return distributed_dataset(device, config);
-    }
     let _span = obs::span!("convmeter.dataset.distributed");
     let points = attach_distributed_features(distributed_sweep_faulted(device, config, faults)?)?;
     Ok(drop_corrupt(points, |p| p.step_time().is_finite()))
@@ -242,6 +230,8 @@ pub fn distributed_dataset_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convmeter_distsim::distributed_sweep;
+    use convmeter_hwsim::{inference_sweep, training_sweep};
 
     #[test]
     fn inference_dataset_attaches_features() {
@@ -285,21 +275,30 @@ mod tests {
 
     #[test]
     fn faulted_builders_with_faults_off_match_plain() {
+        // The plain builders run the faulted ones with a disabled profile;
+        // that must equal annotating the clean sweeps directly.
         let d = DeviceProfile::a100_80gb();
         let off = FaultProfile::disabled();
         let cfg = SweepConfig::quick();
-        let a = inference_dataset(&d, &cfg).unwrap();
+        let a = attach_inference_features(inference_sweep(&d, &cfg).unwrap()).unwrap();
         let b = inference_dataset_faulted(&d, &cfg, &off).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.measured.to_bits(), y.measured.to_bits());
         }
+        let phase_bits = |p: &TrainingPoint| [p.fwd.to_bits(), p.bwd.to_bits(), p.grad.to_bits()];
+        let ta = attach_training_features(training_sweep(&d, &cfg).unwrap()).unwrap();
+        let tb = training_dataset_faulted(&d, &cfg, &off).unwrap();
+        assert_eq!(ta.len(), tb.len());
+        for (x, y) in ta.iter().zip(&tb) {
+            assert_eq!(phase_bits(x), phase_bits(y));
+        }
         let dcfg = DistSweepConfig::quick();
-        let da = distributed_dataset(&d, &dcfg).unwrap();
+        let da = attach_distributed_features(distributed_sweep(&d, &dcfg).unwrap()).unwrap();
         let db = distributed_dataset_faulted(&d, &dcfg, &off).unwrap();
         assert_eq!(da.len(), db.len());
         for (x, y) in da.iter().zip(&db) {
-            assert_eq!(x.step_time().to_bits(), y.step_time().to_bits());
+            assert_eq!(phase_bits(x), phase_bits(y));
         }
     }
 

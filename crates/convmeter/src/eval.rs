@@ -2,17 +2,22 @@
 //!
 //! "To obtain the error rates per ConvNet, we develop a performance model
 //! for each ConvNet, excluding its own data from the training set to ensure
-//! unbiased evaluation" (Section 4, Benchmarks). This module implements that
-//! protocol for both inference (Table 1) and training (Table 3), and emits
-//! the scatter data behind Figures 3–5 and 7.
+//! unbiased evaluation" (Section 4, Benchmarks). Every held-out evaluation in
+//! the workspace runs through one fold loop: [`leave_one_model_out`] refits
+//! the model once per held-out ConvNet on the other ConvNets' points and
+//! hands each fitted model and its held-out rows to a visitor. The loop is
+//! generic over the point type through [`FoldPoint`], so inference
+//! (Table 1) and training (Table 3) are two instantiations of it, and so are
+//! the phase scatters behind Figures 5 and 7 and the k-fold check in
+//! [`kfold_inference`]. Each evaluation records one `convmeter.eval.logo`
+//! span.
 
 use crate::dataset::{InferencePoint, TrainingPoint};
-use crate::features::{bwd_grad_features, forward_features};
-use crate::forward::{ForwardModel, DEFAULT_RIDGE};
+use crate::forward::ForwardModel;
 use crate::training::TrainingModel;
-use convmeter_linalg::cv::LeaveOneGroupOut;
+use convmeter_linalg::cv::{KFold, LeaveOneGroupOut, Split};
 use convmeter_linalg::stats::ErrorReport;
-use convmeter_linalg::{FitError, FoldedLstsq};
+use convmeter_linalg::FitError;
 use convmeter_metrics::{obs, ModelId};
 use serde::{Deserialize, Serialize};
 
@@ -41,6 +46,123 @@ pub struct ScatterPoint {
     pub predicted: f64,
 }
 
+/// A benchmark observation the fold loop can fit on and score.
+pub trait FoldPoint: Copy {
+    /// The model fitted on a fold's training points.
+    type Model;
+    /// The sweep configuration `(model, image size, batch)`. The model is
+    /// the leave-one-out group key.
+    fn config(&self) -> (ModelId, usize, usize);
+    /// Fit [`FoldPoint::Model`] on a fold's training points.
+    fn fit(train: &[Self]) -> Result<Self::Model, FitError>;
+    /// The fitted model's prediction for this point, seconds.
+    fn predict(&self, model: &Self::Model) -> f64;
+    /// The measured time the prediction is scored against, seconds.
+    fn measured(&self) -> f64;
+}
+
+impl FoldPoint for InferencePoint {
+    type Model = ForwardModel;
+    fn config(&self) -> (ModelId, usize, usize) {
+        (self.model, self.image_size, self.batch)
+    }
+    fn fit(train: &[Self]) -> Result<ForwardModel, FitError> {
+        ForwardModel::fit(train)
+    }
+    fn predict(&self, model: &ForwardModel) -> f64 {
+        model.predict(&self.metrics)
+    }
+    fn measured(&self) -> f64 {
+        self.measured
+    }
+}
+
+/// Training points are scored on the full step (Eq. 1).
+impl FoldPoint for TrainingPoint {
+    type Model = TrainingModel;
+    fn config(&self) -> (ModelId, usize, usize) {
+        (self.model, self.image_size, self.batch)
+    }
+    fn fit(train: &[Self]) -> Result<TrainingModel, FitError> {
+        TrainingModel::fit(train)
+    }
+    fn predict(&self, model: &TrainingModel) -> f64 {
+        model.predict_step(&self.metrics, self.nodes)
+    }
+    fn measured(&self) -> f64 {
+        self.step_time()
+    }
+}
+
+/// Fit once per split on its training rows, in split order, and hand the
+/// split's label, the fitted model and the split itself to `visit`.
+fn for_each_fold<P: FoldPoint, G>(
+    points: &[P],
+    splits: impl IntoIterator<Item = (G, Split)>,
+    mut visit: impl FnMut(G, &P::Model, &Split),
+) -> Result<(), FitError> {
+    let mut train = Vec::with_capacity(points.len());
+    for (label, split) in splits {
+        train.clear();
+        train.extend(split.train.iter().map(|&i| points[i]));
+        let fitted = P::fit(&train)?;
+        visit(label, &fitted, &split);
+    }
+    Ok(())
+}
+
+/// The leave-one-model-out fold loop: one exact refit per distinct model,
+/// in order of first appearance in `points`. `visit` receives the held-out
+/// model's name, the model fitted without its points, and the split (the
+/// held-out points are `split.test`).
+pub fn leave_one_model_out<P: FoldPoint>(
+    points: &[P],
+    visit: impl FnMut(&str, &P::Model, &Split),
+) -> Result<(), FitError> {
+    let _span = obs::span!("convmeter.eval.logo");
+    let groups: Vec<&str> = points.iter().map(|p| p.config().0.as_str()).collect();
+    for_each_fold(points, LeaveOneGroupOut::splits(&groups), visit)
+}
+
+/// A held-out point scored by the model fitted without it.
+fn held_out<P: FoldPoint>(point: &P, fitted: &P::Model) -> ScatterPoint {
+    let (model, image_size, batch) = point.config();
+    ScatterPoint {
+        model,
+        image_size,
+        batch,
+        measured: point.measured(),
+        predicted: point.predict(fitted),
+    }
+}
+
+/// Error metrics over a run of scatter points.
+fn report_of(scatter: &[ScatterPoint]) -> ErrorReport {
+    let (pred, meas): (Vec<f64>, Vec<f64>) =
+        scatter.iter().map(|s| (s.predicted, s.measured)).unzip();
+    ErrorReport::compute(&pred, &meas)
+}
+
+/// Leave-one-model-out scoring: per-model reports, every held-out scatter
+/// point in fold order, and the overall report across all of them.
+fn score<P: FoldPoint>(
+    points: &[P],
+) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
+    let mut reports = Vec::new();
+    let mut scatter = Vec::with_capacity(points.len());
+    leave_one_model_out(points, |model_name, fitted, split| {
+        let start = scatter.len();
+        scatter.extend(split.test.iter().map(|&i| held_out(&points[i], fitted)));
+        reports.push(PerModelReport {
+            // analyzer:allow(CP0001, reason = "one owned name per distinct held-out model; the report rows own their labels")
+            model: model_name.to_string(),
+            report: report_of(&scatter[start..]),
+        });
+    })?;
+    let overall = report_of(&scatter);
+    Ok((reports, scatter, overall))
+}
+
 /// Leave-one-model-out evaluation of the inference model.
 ///
 /// Returns per-model reports plus all held-out scatter points, and the
@@ -48,285 +170,30 @@ pub struct ScatterPoint {
 pub fn leave_one_model_out_inference(
     points: &[InferencePoint],
 ) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    let mut reports = Vec::new();
-    let mut scatter = Vec::new();
-    let mut all_pred = Vec::new();
-    let mut all_meas = Vec::new();
-    for (model_name, split) in LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<InferencePoint> = split.train.iter().map(|&i| points[i].clone()).collect();
-        let fitted = ForwardModel::fit(&train)?;
-        let mut pred = Vec::with_capacity(split.test.len());
-        let mut meas = Vec::with_capacity(split.test.len());
-        for &i in &split.test {
-            let p = &points[i];
-            let y_hat = fitted.predict(&p.metrics);
-            pred.push(y_hat);
-            meas.push(p.measured);
-            scatter.push(ScatterPoint {
-                model: p.model,
-                image_size: p.image_size,
-                batch: p.batch,
-                measured: p.measured,
-                predicted: y_hat,
-            });
-        }
-        all_pred.extend_from_slice(&pred);
-        all_meas.extend_from_slice(&meas);
-        reports.push(PerModelReport {
-            model: model_name.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-        });
-    }
-    let overall = ErrorReport::compute(&all_pred, &all_meas);
-    Ok((reports, scatter, overall))
+    score(points)
 }
 
 /// Leave-one-model-out evaluation of the full training-step model.
 pub fn leave_one_model_out_training(
     points: &[TrainingPoint],
 ) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    let mut reports = Vec::new();
-    let mut scatter = Vec::new();
-    let mut all_pred = Vec::new();
-    let mut all_meas = Vec::new();
-    for (model_name, split) in LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<TrainingPoint> = split.train.iter().map(|&i| points[i].clone()).collect();
-        let fitted = TrainingModel::fit(&train)?;
-        let mut pred = Vec::with_capacity(split.test.len());
-        let mut meas = Vec::with_capacity(split.test.len());
-        for &i in &split.test {
-            let p = &points[i];
-            let y_hat = fitted.predict_step(&p.metrics, p.nodes);
-            pred.push(y_hat);
-            meas.push(p.step_time());
-            scatter.push(ScatterPoint {
-                model: p.model,
-                image_size: p.image_size,
-                batch: p.batch,
-                measured: p.step_time(),
-                predicted: y_hat,
-            });
-        }
-        all_pred.extend_from_slice(&pred);
-        all_meas.extend_from_slice(&meas);
-        reports.push(PerModelReport {
-            model: model_name.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-        });
-    }
-    let overall = ErrorReport::compute(&all_pred, &all_meas);
-    Ok((reports, scatter, overall))
-}
-
-/// Evaluate a fold solution `(coefficients, intercept)` on one feature row,
-/// in the same term order as [`convmeter_linalg::LinearRegression::predict`].
-fn predict_fold(x: &[f64], sol: &(Vec<f64>, f64)) -> f64 {
-    sol.1 + x.iter().zip(&sol.0).map(|(a, b)| a * b).sum::<f64>()
-}
-
-/// Leave-one-model-out inference evaluation against a single factorisation.
-///
-/// Produces the same reports/scatter/overall tuple as
-/// [`leave_one_model_out_inference`], but instead of refitting
-/// [`ForwardModel`] per held-out ConvNet it factors the full design once and
-/// solves each fold by Gram downdating ([`FoldedLstsq`]). Predictions agree
-/// with the exact path to ~1e-5 relative (fold solves share the full-design
-/// column scales and go through the normal equations — see
-/// [`convmeter_linalg::batched`]), so committed experiment artefacts keep
-/// the exact path while sweeps and profiling use this one.
-pub fn leave_one_model_out_inference_batched(
-    points: &[InferencePoint],
-) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
-    let _span = obs::span!("convmeter.eval.batched");
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    // analyzer:allow(CP0001, reason = "materialises the owned design matrix once for the whole evaluation; FoldedLstsq borrows it across every fold")
-    let xs: Vec<Vec<f64>> = points
-        .iter()
-        .map(|p| forward_features(&p.metrics))
-        .collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.measured).collect();
-    let folds = FoldedLstsq::new(&xs, &[&ys], true, DEFAULT_RIDGE)?;
-    let splits = LeaveOneGroupOut::splits(&groups);
-    let mut reports = Vec::with_capacity(splits.len());
-    let mut scatter = Vec::with_capacity(points.len());
-    let mut all_pred = Vec::with_capacity(points.len());
-    let mut all_meas = Vec::with_capacity(points.len());
-    let mut pred = Vec::with_capacity(points.len());
-    let mut meas = Vec::with_capacity(points.len());
-    for (model_name, split) in splits {
-        let sol = folds
-            .solve_excluding(&split.test)?
-            .pop()
-            .ok_or(FitError::TooFewObservations { have: 0, need: 1 })?;
-        pred.clear();
-        meas.clear();
-        for &i in &split.test {
-            let p = &points[i];
-            let y_hat = predict_fold(&xs[i], &sol);
-            pred.push(y_hat);
-            meas.push(p.measured);
-            scatter.push(ScatterPoint {
-                model: p.model,
-                image_size: p.image_size,
-                batch: p.batch,
-                measured: p.measured,
-                predicted: y_hat,
-            });
-        }
-        all_pred.extend_from_slice(&pred);
-        all_meas.extend_from_slice(&meas);
-        reports.push(PerModelReport {
-            // analyzer:allow(CP0001, reason = "one owned name per distinct held-out model; the report rows own their labels")
-            model: model_name.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-        });
-    }
-    let overall = ErrorReport::compute(&all_pred, &all_meas);
-    Ok((reports, scatter, overall))
-}
-
-/// Leave-one-model-out training evaluation against shared factorisations.
-///
-/// Mirrors [`leave_one_model_out_training`], replicating
-/// [`TrainingModel`]'s prediction structure per fold — forward-phase fit
-/// plus the fused backward+gradient fit with its single-/multi-node regime
-/// split (a regime is fitted on its own rows when the fold leaves at least
-/// 8 of them, otherwise it falls back to the all-rows fused fit) — but every
-/// design (forward, fused-all, fused-single, fused-multi) is factored once
-/// and folds are solved by downdating. Same accuracy contract as
-/// [`leave_one_model_out_inference_batched`].
-pub fn leave_one_model_out_training_batched(
-    points: &[TrainingPoint],
-) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
-    let _span = obs::span!("convmeter.eval.batched");
-    // Matches `TrainingModel::fit`'s regime threshold.
-    let min_rows = 8;
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    // analyzer:allow(CP0001, reason = "materialises the owned forward/fused design matrices once for the whole evaluation; FoldedLstsq borrows them across every fold")
-    let fwd_xs: Vec<Vec<f64>> = points
-        .iter()
-        .map(|p| forward_features(&p.metrics))
-        .collect();
-    let fwd_ys: Vec<f64> = points.iter().map(|p| p.fwd).collect();
-    let fused_xs: Vec<Vec<f64>> = points
-        .iter()
-        .map(|p| bwd_grad_features(&p.metrics, p.nodes))
-        .collect();
-    let fused_ys: Vec<f64> = points.iter().map(|p| p.bwd + p.grad).collect();
-    let fwd_folds = FoldedLstsq::new(&fwd_xs, &[&fwd_ys], true, DEFAULT_RIDGE)?;
-    let all_folds = FoldedLstsq::new(&fused_xs, &[&fused_ys], true, DEFAULT_RIDGE)?;
-
-    // Regime sub-designs, factored once over their own rows. A regime with
-    // fewer than `min_rows` rows overall can never be fitted in any fold.
-    let regime = |keep: &dyn Fn(&TrainingPoint) -> bool| -> Result<
-        Option<(Vec<usize>, FoldedLstsq)>,
-        FitError,
-    > {
-        let idx: Vec<usize> = (0..points.len()).filter(|&i| keep(&points[i])).collect();
-        if idx.len() < min_rows {
-            return Ok(None);
-        }
-        // analyzer:allow(CP0002, reason = "the regime sub-design is materialised once at construction and then reused across every fold")
-        let sub_xs: Vec<Vec<f64>> = idx.iter().map(|&i| fused_xs[i].clone()).collect();
-        let sub_ys: Vec<f64> = idx.iter().map(|&i| fused_ys[i]).collect();
-        let folds = FoldedLstsq::new(&sub_xs, &[&sub_ys], true, DEFAULT_RIDGE)?;
-        Ok(Some((idx, folds)))
-    };
-    let single = regime(&|p| p.nodes == 1)?;
-    let multi = regime(&|p| p.nodes > 1)?;
-
-    // Solve one regime's fold: exclude the held-out rows (mapped into the
-    // sub-design) when enough regime rows remain, else use the all-rows fit.
-    let solve_regime = |reg: &Option<(Vec<usize>, FoldedLstsq)>,
-                        test: &[usize],
-                        fallback: &(Vec<f64>, f64)|
-     -> Result<(Vec<f64>, f64), FitError> {
-        if let Some((idx, folds)) = reg {
-            let excl: Vec<usize> = idx
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| test.binary_search(g).is_ok())
-                .map(|(pos, _)| pos)
-                .collect();
-            if idx.len() - excl.len() >= min_rows {
-                let sol = folds
-                    .solve_excluding(&excl)?
-                    .pop()
-                    .ok_or(FitError::TooFewObservations { have: 0, need: 1 })?;
-                return Ok(sol);
-            }
-        }
-        Ok(fallback.clone())
-    };
-
-    let splits = LeaveOneGroupOut::splits(&groups);
-    let mut reports = Vec::with_capacity(splits.len());
-    let mut scatter = Vec::with_capacity(points.len());
-    let mut all_pred = Vec::with_capacity(points.len());
-    let mut all_meas = Vec::with_capacity(points.len());
-    let mut pred = Vec::with_capacity(points.len());
-    let mut meas = Vec::with_capacity(points.len());
-    for (model_name, split) in splits {
-        let fwd_sol = fwd_folds
-            .solve_excluding(&split.test)?
-            .pop()
-            .ok_or(FitError::TooFewObservations { have: 0, need: 1 })?;
-        let fused_all_sol = all_folds
-            .solve_excluding(&split.test)?
-            .pop()
-            .ok_or(FitError::TooFewObservations { have: 0, need: 1 })?;
-        let fused_single_sol = solve_regime(&single, &split.test, &fused_all_sol)?;
-        let fused_multi_sol = solve_regime(&multi, &split.test, &fused_all_sol)?;
-        pred.clear();
-        meas.clear();
-        for &i in &split.test {
-            let p = &points[i];
-            let fused_sol = if p.nodes <= 1 {
-                &fused_single_sol
-            } else {
-                &fused_multi_sol
-            };
-            let y_hat = predict_fold(&fwd_xs[i], &fwd_sol) + predict_fold(&fused_xs[i], fused_sol);
-            pred.push(y_hat);
-            meas.push(p.step_time());
-            scatter.push(ScatterPoint {
-                model: p.model,
-                image_size: p.image_size,
-                batch: p.batch,
-                measured: p.step_time(),
-                predicted: y_hat,
-            });
-        }
-        all_pred.extend_from_slice(&pred);
-        all_meas.extend_from_slice(&meas);
-        reports.push(PerModelReport {
-            // analyzer:allow(CP0001, reason = "one owned name per distinct held-out model; the report rows own their labels")
-            model: model_name.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-        });
-    }
-    let overall = ErrorReport::compute(&all_pred, &all_meas);
-    Ok((reports, scatter, overall))
+    score(points)
 }
 
 /// K-fold cross-validated evaluation of the inference model: a generic
 /// generalisation check that mixes all models in every fold (contrast with
 /// the stricter leave-one-model-out protocol).
 pub fn kfold_inference(points: &[InferencePoint], k: usize) -> Result<ErrorReport, FitError> {
-    let folds = convmeter_linalg::KFold::new(k).splits(points.len());
-    let mut preds = Vec::with_capacity(points.len());
-    let mut meas = Vec::with_capacity(points.len());
-    for split in folds {
-        let train: Vec<InferencePoint> = split.train.iter().map(|&i| points[i].clone()).collect();
-        let fitted = ForwardModel::fit(&train)?;
-        for &i in &split.test {
-            preds.push(fitted.predict(&points[i].metrics));
-            meas.push(points[i].measured);
-        }
-    }
-    Ok(ErrorReport::compute(&preds, &meas))
+    let splits = KFold::new(k).splits(points.len());
+    let mut scatter = Vec::with_capacity(points.len());
+    for_each_fold(
+        points,
+        splits.into_iter().map(|s| ((), s)),
+        |(), fitted, split| {
+            scatter.extend(split.test.iter().map(|&i| held_out(&points[i], fitted)));
+        },
+    )?;
+    Ok(report_of(&scatter))
 }
 
 /// Error breakdown of a scatter by a grouping key — e.g. by batch size to
@@ -430,94 +297,44 @@ mod tests {
         );
     }
 
-    /// Relative agreement between the exact (refit-per-fold) and batched
-    /// (downdate-per-fold) paths. The two differ only in per-fold column
-    /// rescaling and normal-equation roundoff; ridge keeps both tame.
-    fn assert_scatter_close(exact: &[ScatterPoint], batched: &[ScatterPoint], tol: f64) {
-        assert_eq!(exact.len(), batched.len());
-        for (e, b) in exact.iter().zip(batched) {
-            assert_eq!(
-                (e.model, e.image_size, e.batch),
-                (b.model, b.image_size, b.batch)
-            );
-            assert_eq!(e.measured, b.measured);
-            let rel = (e.predicted - b.predicted).abs() / e.predicted.abs().max(1e-30);
-            assert!(
-                rel < tol,
-                "{} i{} b{}: exact={} batched={} (rel {rel:.3e})",
-                e.model,
-                e.image_size,
-                e.batch,
-                e.predicted,
-                b.predicted
-            );
-        }
-    }
-
-    #[test]
-    fn batched_inference_loocv_matches_exact_path() {
-        let data = inference_dataset(&DeviceProfile::a100_80gb(), &eval_config()).unwrap();
-        let (exact_reports, exact_scatter, exact_overall) =
-            leave_one_model_out_inference(&data).unwrap();
-        let (reports, scatter, overall) = leave_one_model_out_inference_batched(&data).unwrap();
-        assert_scatter_close(&exact_scatter, &scatter, 1e-5);
-        assert_eq!(reports.len(), exact_reports.len());
-        for (e, b) in exact_reports.iter().zip(&reports) {
-            assert_eq!(e.model, b.model);
-            assert!((e.report.mape - b.report.mape).abs() < 1e-5);
-        }
-        assert!((exact_overall.mape - overall.mape).abs() < 1e-5);
-        assert!((exact_overall.r2 - overall.r2).abs() < 1e-5);
-    }
-
-    #[test]
-    fn batched_training_loocv_matches_exact_path() {
-        let data = training_dataset(&DeviceProfile::a100_80gb(), &eval_config()).unwrap();
-        let (exact_reports, exact_scatter, exact_overall) =
-            leave_one_model_out_training(&data).unwrap();
-        let (reports, scatter, overall) = leave_one_model_out_training_batched(&data).unwrap();
-        assert_scatter_close(&exact_scatter, &scatter, 1e-4);
-        assert_eq!(reports.len(), exact_reports.len());
-        for (e, b) in exact_reports.iter().zip(&reports) {
-            assert_eq!(e.model, b.model);
-            assert!((e.report.mape - b.report.mape).abs() < 1e-4);
-        }
-        assert!((exact_overall.mape - overall.mape).abs() < 1e-4);
-    }
-
-    #[test]
-    fn batched_training_loocv_matches_on_distributed_points() {
-        // Multi-node points exercise the single/multi fused-regime split and
-        // its per-fold fallback logic.
-        let device = DeviceProfile::a100_80gb();
-        let mut sweep = convmeter_distsim::DistSweepConfig::quick();
-        sweep.models = vec![
-            "resnet18".into(),
-            "alexnet".into(),
-            "mobilenet_v2".into(),
-            "vgg11".into(),
-        ];
-        sweep.batch_sizes = vec![8, 32, 64, 128];
-        let data = crate::dataset::distributed_dataset(&device, &sweep).unwrap();
-        let (_, exact_scatter, exact_overall) = leave_one_model_out_training(&data).unwrap();
-        let (_, scatter, overall) = leave_one_model_out_training_batched(&data).unwrap();
-        assert_scatter_close(&exact_scatter, &scatter, 1e-4);
-        assert!((exact_overall.mape - overall.mape).abs() < 1e-4);
-    }
-
-    #[test]
-    fn held_out_model_not_in_training_set() {
-        // Indirect check: per-model error should differ from an in-sample
-        // fit; more importantly, every point appears exactly once in the
-        // scatter output.
-        let data = inference_dataset(&DeviceProfile::a100_80gb(), &SweepConfig::quick()).unwrap();
-        let (_, scatter, _) = leave_one_model_out_inference(&data).unwrap();
+    /// Every point appears exactly once in the scatter, in the held-out
+    /// fold of its own model.
+    fn assert_each_point_held_out_once(scatter: &[ScatterPoint], keys: &[(ModelId, usize, usize)]) {
         let mut counts = std::collections::HashMap::new();
-        for s in &scatter {
+        for s in scatter {
             *counts
                 .entry((s.model, s.image_size, s.batch))
                 .or_insert(0usize) += 1;
         }
-        assert!(counts.values().all(|&c| c == 1));
+        assert_eq!(counts.len(), keys.len());
+        for key in keys {
+            assert_eq!(counts.get(key), Some(&1), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn held_out_model_not_in_training_set() {
+        // Both instantiations of the fold loop score every point exactly
+        // once, and no fold trains on the model it holds out.
+        let device = DeviceProfile::a100_80gb();
+        let inference = inference_dataset(&device, &SweepConfig::quick()).unwrap();
+        let (_, scatter, _) = leave_one_model_out_inference(&inference).unwrap();
+        let keys: Vec<_> = inference.iter().map(FoldPoint::config).collect();
+        assert_each_point_held_out_once(&scatter, &keys);
+
+        let training = training_dataset(&device, &SweepConfig::quick()).unwrap();
+        let (_, scatter, _) = leave_one_model_out_training(&training).unwrap();
+        let keys: Vec<_> = training.iter().map(FoldPoint::config).collect();
+        assert_each_point_held_out_once(&scatter, &keys);
+
+        let mut folds = 0;
+        leave_one_model_out(&training, |name, _, split| {
+            folds += 1;
+            assert!(split.test.iter().all(|&i| training[i].model == name));
+            assert!(split.train.iter().all(|&i| training[i].model != name));
+        })
+        .unwrap();
+        let distinct: std::collections::BTreeSet<_> = training.iter().map(|p| p.model).collect();
+        assert_eq!(folds, distinct.len());
     }
 }

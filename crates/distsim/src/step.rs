@@ -11,7 +11,7 @@ use crate::fusion::fuse_gradients;
 use crate::ring::all_reduce_time_with_dropout;
 use crate::strategies::{sync_time, SyncStrategy};
 use convmeter_hwsim::kernel::{backward_layer_time, forward_layer_time, optimizer_layer_time};
-use convmeter_hwsim::{DeviceProfile, FaultModel, NoiseModel, TrainingPhases};
+use convmeter_hwsim::{DeviceProfile, FaultModel, FaultProfile, NoiseModel, TrainingPhases};
 use convmeter_metrics::ModelMetrics;
 
 /// Expected straggler inflation for `n` synchronising devices with
@@ -118,7 +118,8 @@ pub fn expected_distributed_phases_with_strategy(
     }
 }
 
-/// A noisy measurement of one distributed training step.
+/// A noisy measurement of one distributed training step: the fault-free
+/// case of [`measure_distributed_step_faulted`].
 pub fn measure_distributed_step(
     device: &DeviceProfile,
     cluster: &ClusterConfig,
@@ -126,13 +127,9 @@ pub fn measure_distributed_step(
     batch: usize,
     noise: &mut NoiseModel,
 ) -> TrainingPhases {
-    convmeter_metrics::obs::counter!("distsim.steps").inc();
-    let p = expected_distributed_phases(device, cluster, metrics, batch);
-    TrainingPhases {
-        forward: noise.jitter(p.forward),
-        backward: noise.jitter(p.backward),
-        grad_update: noise.jitter(p.grad_update),
-    }
+    let off = FaultProfile::disabled();
+    let mut fault = FaultModel::new(&off, 0);
+    measure_distributed_step_faulted(device, cluster, metrics, batch, noise, &mut fault)
 }
 
 /// A fault-injected distributed step. On top of
@@ -147,8 +144,8 @@ pub fn measure_distributed_step(
 /// * **slowdown windows / spikes / corruption** — as in the single-device
 ///   path ([`convmeter_hwsim::measure_training_step_faulted`]).
 ///
-/// With the fault model's profile off this is exactly
-/// [`measure_distributed_step`].
+/// A disabled fault model draws nothing and every fault factor is exactly
+/// 1, so with it this is the plain jittered measurement.
 pub fn measure_distributed_step_faulted(
     device: &DeviceProfile,
     cluster: &ClusterConfig,
@@ -157,9 +154,6 @@ pub fn measure_distributed_step_faulted(
     noise: &mut NoiseModel,
     fault: &mut FaultModel<'_>,
 ) -> TrainingPhases {
-    if fault.profile().is_off() {
-        return measure_distributed_step(device, cluster, metrics, batch, noise);
-    }
     convmeter_metrics::obs::counter!("distsim.steps").inc();
     let slowdown = fault.slowdown_window().unwrap_or(1.0);
     let straggle = fault.node_straggler_max(cluster.total_devices());

@@ -441,21 +441,22 @@ impl ServeState {
                 images_per_sec: p.images_per_sec,
             })
             .collect();
-        let bottlenecks = match convmeter::bottleneck_report(&models.forward, graph, req.batch) {
-            Ok(report) => report
-                .blocks
-                .iter()
-                .take(req.top_blocks)
-                .map(|b| BottleneckEntry {
-                    block: b.block.clone(),
-                    predicted_s: b.predicted,
-                    share: b.share,
-                })
-                .collect(),
-            // Architectures without registered block spans still get the
-            // whole-model predictions; the ranking is best-effort.
-            Err(_) => Vec::new(),
-        };
+        let bottlenecks =
+            match convmeter::bottleneck_report(&models.forward, graph, metrics, req.batch) {
+                Ok(report) => report
+                    .blocks
+                    .iter()
+                    .take(req.top_blocks)
+                    .map(|b| BottleneckEntry {
+                        block: b.block.clone(),
+                        predicted_s: b.predicted,
+                        share: b.share,
+                    })
+                    .collect(),
+                // Architectures without registered block spans still get the
+                // whole-model predictions; the ranking is best-effort.
+                Err(_) => Vec::new(),
+            };
         let response = PredictResponse {
             api_format: API_FORMAT,
             model: display_name.to_string(),

@@ -62,23 +62,25 @@ fn combined_metrics_beat_single_metrics_out_of_sample() {
     // Figure 2's claim, checked on *held-out* models rather than in-sample.
     let device = DeviceProfile::a100_80gb();
     let data = inference_dataset(&device, &mid_config()).unwrap();
-    let groups: Vec<&str> = data.iter().map(|p| p.model.as_str()).collect();
     let mut single_errs = vec![Vec::new(); 3];
     let mut combined_errs = Vec::new();
-    for (_, split) in convmeter_linalg::cv::LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<InferencePoint> = split.train.iter().map(|&i| data[i].clone()).collect();
+    leave_one_model_out(&data, |_, combined: &ForwardModel, split| {
         let test: Vec<&InferencePoint> = split.test.iter().map(|&i| &data[i]).collect();
         let meas: Vec<f64> = test.iter().map(|p| p.measured).collect();
-        let combined = ForwardModel::fit(&train).unwrap();
         let preds: Vec<f64> = test.iter().map(|p| combined.predict(&p.metrics)).collect();
         combined_errs.push(mape(&preds, &meas));
-        let pairs: Vec<_> = train.iter().map(|p| (p.metrics, p.measured)).collect();
+        let pairs: Vec<_> = split
+            .train
+            .iter()
+            .map(|&i| (data[i].metrics, data[i].measured))
+            .collect();
         for (i, metric) in Metric::all().into_iter().enumerate() {
             let m = SingleMetricModel::fit(metric, &pairs).unwrap();
             let preds: Vec<f64> = test.iter().map(|p| m.predict(&p.metrics)).collect();
             single_errs[i].push(mape(&preds, &meas));
         }
-    }
+    })
+    .unwrap();
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let combined_avg = avg(&combined_errs);
     for (i, metric) in Metric::all().into_iter().enumerate() {
